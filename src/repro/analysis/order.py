@@ -32,7 +32,6 @@ class PermutationResult:
     """Byte-comparison of one perturbed run against the baseline."""
 
     seed: int
-    scheduler: str
     #: Artifacts whose bytes differ from the unperturbed baseline.
     mismatched: tuple[str, ...]
 
@@ -46,27 +45,21 @@ class OrderVerdict:
     """Outcome of the perturbation proof for one engine."""
 
     sps: str
-    #: sha256 of each baseline artifact (calendar backend, no perturb).
+    #: sha256 of each baseline artifact (unperturbed run).
     baseline: tuple[tuple[str, str], ...]
     permutations: tuple[PermutationResult, ...]
-    #: True when the heap backend's unperturbed run matches calendar's.
-    backends_agree: bool
 
     @property
     def identical(self) -> bool:
-        return self.backends_agree and all(
-            p.identical for p in self.permutations
-        )
+        return all(p.identical for p in self.permutations)
 
     @property
     def mismatched(self) -> tuple[str, ...]:
-        out = []
-        if not self.backends_agree:
-            out.append("heap-vs-calendar baseline")
-        for perm in self.permutations:
-            for name in perm.mismatched:
-                out.append(f"{perm.scheduler} seed={perm.seed}: {name}")
-        return tuple(out)
+        return tuple(
+            f"seed={perm.seed}: {name}"
+            for perm in self.permutations
+            for name in perm.mismatched
+        )
 
 
 def _digest(artifacts: dict[str, bytes]) -> dict[str, str]:
@@ -78,45 +71,27 @@ def _digest(artifacts: dict[str, bytes]) -> dict[str, str]:
 def verify_engine_order(
     config: ExperimentConfig,
     permutations: int = 3,
-    schedulers: typing.Sequence[str] = ("calendar", "heap"),
     sanitize: bool = True,
 ) -> OrderVerdict:
     """Perturbation-proof one engine config.
 
-    Runs the unperturbed baseline on every scheduler backend (they must
-    already agree — that is the tie-class contract), then ``permutations``
-    seeded tie-permutation runs per backend, each byte-compared to the
-    baseline.
+    Runs the unperturbed baseline, then ``permutations`` seeded
+    tie-permutation runs, each byte-compared to the baseline.
     """
     if permutations < 1:
         raise ValueError(f"permutations must be >= 1, got {permutations}")
-    baselines: dict[str, dict[str, bytes]] = {}
-    for backend in schedulers:
-        with kernel_overrides(scheduler=backend):
-            baselines[backend] = run_fingerprints(config, sanitize=sanitize)
-    reference = baselines[schedulers[0]]
-    backends_agree = all(
-        baselines[backend] == reference for backend in schedulers
-    )
+    reference = run_fingerprints(config, sanitize=sanitize)
     results: list[PermutationResult] = []
-    for backend in schedulers:
-        for seed in range(1, permutations + 1):
-            with kernel_overrides(scheduler=backend, perturb_seed=seed):
-                perturbed = run_fingerprints(config, sanitize=sanitize)
-            mismatched = tuple(
-                name for name in ARTIFACTS if perturbed[name] != reference[name]
-            )
-            results.append(
-                PermutationResult(
-                    seed=seed, scheduler=backend, mismatched=mismatched
-                )
-            )
+    for seed in range(1, permutations + 1):
+        with kernel_overrides(perturb_seed=seed):
+            perturbed = run_fingerprints(config, sanitize=sanitize)
+        mismatched = tuple(
+            name for name in ARTIFACTS if perturbed[name] != reference[name]
+        )
+        results.append(PermutationResult(seed=seed, mismatched=mismatched))
     digests = tuple(sorted(_digest(reference).items()))
     return OrderVerdict(
-        sps=config.sps,
-        baseline=digests,
-        permutations=tuple(results),
-        backends_agree=backends_agree,
+        sps=config.sps, baseline=digests, permutations=tuple(results)
     )
 
 
@@ -124,7 +99,6 @@ def verify_order(
     base: ExperimentConfig,
     engines: typing.Sequence[str] = SPS_NAMES,
     permutations: int = 3,
-    schedulers: typing.Sequence[str] = ("calendar", "heap"),
     sanitize: bool = True,
 ) -> list[OrderVerdict]:
     """The full gate: the perturbation proof for each requested engine."""
@@ -133,10 +107,7 @@ def verify_order(
         config = dataclasses.replace(base, sps=sps)
         verdicts.append(
             verify_engine_order(
-                config,
-                permutations=permutations,
-                schedulers=schedulers,
-                sanitize=sanitize,
+                config, permutations=permutations, sanitize=sanitize
             )
         )
     return verdicts

@@ -1,9 +1,5 @@
 """The broker-internal cluster: topics plus broker-side service costs.
 
-(Known as ``repro.broker.cluster`` before the multi-node scale-out
-package :mod:`repro.cluster` arrived; the old import path remains as a
-deprecation shim.)
-
 The paper deploys 4 Kafka brokers and verifies they are never the
 bottleneck (§3.5). Each partition is owned by one broker; appends and
 fetches occupy that broker's service resource for a size-dependent time,

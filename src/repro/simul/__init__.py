@@ -1,16 +1,14 @@
 """Deterministic discrete-event simulation kernel.
 
 A small, SimPy-flavoured kernel: an :class:`~repro.simul.core.Environment`
-owns a time-ordered event scheduler (a calendar queue with a heap
-fallback — see :mod:`repro.simul.scheduler`); *processes* are Python
-generators that yield events (timeouts, resource requests, store
-gets...) and are resumed when those events fire. Ties in time are broken
-by a monotonically increasing sequence number, which makes every
-simulation fully deterministic regardless of the scheduler backend.
+owns a time-ordered event scheduler (one binary heap — see
+:mod:`repro.simul.scheduler`); *processes* are Python generators that
+yield events (timeouts, resource requests, store gets...) and are
+resumed when those events fire. Ties in time are broken by a
+monotonically increasing sequence number, which makes every simulation
+fully deterministic.
 
-Batches of homogeneous service-time events can be evaluated in one
-NumPy pass (:mod:`repro.simul.vector`), and fire-and-forget service
-waits can reuse pooled Timeout objects
+Fire-and-forget service waits can reuse pooled Timeout objects
 (:meth:`~repro.simul.core.Environment.service_timeout`).
 
 The kernel is the substrate for every simulated system in this repository:
@@ -21,8 +19,7 @@ from repro.simul.core import Environment
 from repro.simul.events import AllOf, AnyOf, Event, Timeout
 from repro.simul.process import Interrupt, Process
 from repro.simul.resources import Resource, Store
-from repro.simul.scheduler import CalendarScheduler, HeapScheduler
-from repro.simul.vector import VectorTimeout, bulk_timeouts, homogeneous_service
+from repro.simul.scheduler import HeapScheduler
 from repro.simul.monitor import Counter, TimeSeries
 from repro.simul.rng import RandomStreams
 
@@ -36,11 +33,7 @@ __all__ = [
     "Interrupt",
     "Resource",
     "Store",
-    "CalendarScheduler",
     "HeapScheduler",
-    "VectorTimeout",
-    "bulk_timeouts",
-    "homogeneous_service",
     "Counter",
     "TimeSeries",
     "RandomStreams",

@@ -8,7 +8,7 @@ import typing
 from repro.errors import SimulationError
 from repro.simul.events import AllOf, AnyOf, Event, NORMAL, PENDING, Timeout
 from repro.simul.process import Process
-from repro.simul.scheduler import PermutedScheduler, SCHEDULERS
+from repro.simul.scheduler import HeapScheduler, PermutedScheduler
 
 
 INFINITY = float("inf")
@@ -19,14 +19,13 @@ _TIMEOUT_POOL_CAP = 1024
 #: Analysis-mode construction overrides applied to every Environment
 #: built while :func:`kernel_overrides` is active.  This is how the
 #: concurrency analyzer instruments a run without threading knobs
-#: through every layer that creates an Environment: ``scheduler``
-#: forces a backend, ``perturb_seed`` wraps it in a seeded
+#: through every layer that creates an Environment: ``perturb_seed``
+#: wraps the scheduler in a seeded
 #: :class:`~repro.simul.scheduler.PermutedScheduler`, and ``tracker``
 #: attaches a tie-race tracker (duck-typed: ``attach``/``on_schedule``/
-#: ``on_pop``/``on_state``).  All default to off; the hot path pays one
+#: ``on_pop``/``on_state``).  Both default to off; the hot path pays one
 #: ``is not None`` check.
 _OVERRIDES: dict[str, typing.Any] = {
-    "scheduler": None,
     "perturb_seed": None,
     "tracker": None,
 }
@@ -34,13 +33,11 @@ _OVERRIDES: dict[str, typing.Any] = {
 
 @contextlib.contextmanager
 def kernel_overrides(
-    scheduler: str | None = None,
     perturb_seed: int | None = None,
     tracker: typing.Any = None,
 ) -> typing.Iterator[None]:
     """Scope analysis-mode kernel instrumentation to a ``with`` block."""
     previous = dict(_OVERRIDES)
-    _OVERRIDES["scheduler"] = scheduler
     _OVERRIDES["perturb_seed"] = perturb_seed
     _OVERRIDES["tracker"] = tracker
     try:
@@ -53,23 +50,14 @@ class Environment:
     """Owns simulated time and the pending-event scheduler.
 
     Determinism: events scheduled for the same time fire in (priority,
-    insertion order) regardless of the scheduler backend ("calendar" by
-    default, "heap" as the reference fallback — see
-    :mod:`repro.simul.scheduler`). There is no wall-clock anywhere in
-    the kernel.
+    insertion order) — the binary-heap key of
+    :class:`~repro.simul.scheduler.HeapScheduler`. There is no
+    wall-clock anywhere in the kernel.
     """
 
-    def __init__(self, initial_time: float = 0.0, scheduler: str = "calendar") -> None:
-        if _OVERRIDES["scheduler"] is not None:
-            scheduler = _OVERRIDES["scheduler"]
-        try:
-            factory = SCHEDULERS[scheduler]
-        except KeyError:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of {sorted(SCHEDULERS)}"
-            ) from None
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        sched = factory()
+        sched: HeapScheduler | PermutedScheduler = HeapScheduler()
         if _OVERRIDES["perturb_seed"] is not None:
             sched = PermutedScheduler(sched, _OVERRIDES["perturb_seed"])
         self._sched = sched
@@ -89,11 +77,6 @@ class Environment:
     def active_process(self) -> Process | None:
         return self._active_process
 
-    @property
-    def scheduler(self) -> str:
-        """Name of the scheduler backend in use."""
-        return self._sched.kind
-
     # -- scheduling --------------------------------------------------
 
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
@@ -101,7 +84,7 @@ class Environment:
         self._seq += 1
         if self._tracker is not None:
             self._tracker.on_schedule(self._seq, self._now + delay, priority)
-        self._sched.push((self._now + delay, priority, self._seq, event), self._now)
+        self._sched.push((self._now + delay, priority, self._seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

@@ -1,47 +1,18 @@
-"""Pending-event schedulers for the simulation kernel.
+"""Pending-event scheduler for the simulation kernel.
 
-Two interchangeable backends order scheduled entries by the same total
-key ``(time, priority, seq)``:
+:class:`HeapScheduler` orders scheduled entries by the total key
+``(time, priority, seq)`` in one binary heap. ``seq`` is the kernel's
+strictly increasing insertion counter, so same-time events fire in
+(priority, insertion order) and every run is deterministic.
 
-:class:`HeapScheduler`
-    The original single binary heap.  Kept as the reference
-    implementation and as the pre-calendar comparator for the kernel
-    microbenchmark (``repro.simul.bench``).
-
-:class:`CalendarScheduler`
-    A calendar-queue-style scheduler tuned for the traffic mix a
-    discrete-event simulation actually produces:
-
-    * **now lanes** — two FIFO deques (one per priority) for entries
-      scheduled at exactly the current time.  ``succeed()`` traffic
-      (store handoffs, resource grants, process init events) is all
-      zero-delay, and a deque append/popleft is far cheaper than heap
-      sift operations.  The lanes stay key-sorted by construction:
-      simulated time never decreases between pushes and ``seq`` is
-      strictly increasing.
-    * **epoch** — an ascending-sorted list covering a sliding window of
-      near-future times, consumed by bumping an index (no memory
-      movement) and fed by ``bisect.insort`` bounded below by that
-      index.  The window width adapts so a refill captures a healthy
-      run of entries.
-    * **far heap** — a plain binary heap for everything beyond the
-      epoch window.  When the epoch drains, the next window of entries
-      is pulled out of the heap in one pass.
-
-    ``pop`` is a four-way merge of the structure heads, so correctness
-    only requires each structure to be internally key-sorted — the
-    epoch window bounds are soft and never reorder events.
-
-Determinism: both backends yield entries in exactly the same order for
-the same push sequence; the kernel's (priority, insertion-order)
-contract for same-time events is preserved bit-for-bit.
+:class:`PermutedScheduler` wraps it for analysis: it pops a seeded
+random member of each ``(time, priority)`` tie class, which is how
+``crayfish verify-order`` proves exports do not depend on tie order.
 """
 
 from __future__ import annotations
 
 import typing
-from bisect import insort
-from collections import deque
 from heapq import heappop, heappush
 
 #: A scheduled entry: ``(time, priority, seq, event)``.  ``seq`` is
@@ -50,22 +21,11 @@ Entry = typing.Tuple[float, int, int, object]
 
 INFINITY = float("inf")
 
-#: Desired number of entries captured by one epoch refill.
-_EPOCH_TARGET = 128
-
-#: Hard cap on entries pulled into a single epoch.
-_EPOCH_MAX = 4096
-
-#: Floor for the adaptive window width.
-_MIN_WIDTH = 1e-12
-
 
 class HeapScheduler:
-    """The original kernel scheduler: one binary heap."""
+    """The kernel scheduler: one binary heap."""
 
     __slots__ = ("_heap",)
-
-    kind = "heap"
 
     def __init__(self) -> None:
         self._heap: list[Entry] = []
@@ -73,13 +33,8 @@ class HeapScheduler:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, entry: Entry, now: float) -> None:
+    def push(self, entry: Entry) -> None:
         heappush(self._heap, entry)
-
-    def push_batch(self, entries: typing.Sequence[Entry], now: float) -> None:
-        heap = self._heap
-        for entry in entries:
-            heappush(heap, entry)
 
     def pop(self) -> Entry:
         return heappop(self._heap)
@@ -89,202 +44,15 @@ class HeapScheduler:
         return heap[0][0] if heap else INFINITY
 
 
-class CalendarScheduler:
-    """Calendar-queue scheduler: now lanes + epoch window + far heap."""
-
-    __slots__ = (
-        "_now_urgent",
-        "_now_normal",
-        "_epoch",
-        "_epoch_i",
-        "_epoch_end",
-        "_far",
-        "_width",
-        "_target",
-        "_max_epoch",
-        "_len",
-    )
-
-    kind = "calendar"
-
-    def __init__(self, target: int = _EPOCH_TARGET, max_epoch: int = _EPOCH_MAX) -> None:
-        self._now_urgent: deque[Entry] = deque()
-        self._now_normal: deque[Entry] = deque()
-        self._epoch: list[Entry] = []
-        self._epoch_i = 0
-        # Times strictly below this bound route into the epoch list.
-        self._epoch_end = -INFINITY
-        self._far: list[Entry] = []
-        self._width = 1.0
-        self._target = target
-        self._max_epoch = max_epoch
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def push(self, entry: Entry, now: float) -> None:
-        time = entry[0]
-        priority = entry[1]
-        if time == now and priority <= 1:
-            # Zero-delay entry: lands at the tail of its priority lane.
-            # The lane stays key-sorted because `now` never decreases
-            # between pushes and `seq` is strictly increasing.
-            if priority:
-                self._now_normal.append(entry)
-            else:
-                self._now_urgent.append(entry)
-        elif time < self._epoch_end:
-            insort(self._epoch, entry, lo=self._epoch_i)
-        else:
-            heappush(self._far, entry)
-        self._len += 1
-
-    def push_batch(self, entries: typing.Sequence[Entry], now: float) -> None:
-        """Bulk-insert pre-sorted ``entries`` (ascending by key).
-
-        The live epoch tail and the batch are two sorted runs, so the
-        rebuild is a single adaptive-mergesort pass at C speed — no
-        per-entry heap sifts.
-        """
-        if not entries:
-            return
-        live = self._epoch[self._epoch_i :]
-        if live:
-            live.extend(entries)
-            live.sort()
-        else:
-            live = list(entries)
-        self._epoch = live
-        self._epoch_i = 0
-        last_time = live[-1][0]
-        if last_time > self._epoch_end:
-            self._epoch_end = last_time
-        self._len += len(entries)
-
-    def pop(self) -> Entry:
-        epoch = self._epoch
-        index = self._epoch_i
-        # Fast path: all pending entries live in the epoch window (the
-        # steady state of timeout-driven workloads) — no merging needed.
-        if (
-            index < len(epoch)
-            and not self._now_urgent
-            and not self._now_normal
-            and not self._far
-        ):
-            entry = epoch[index]
-            index += 1
-            if index >= 4096:
-                # Shed the consumed prefix so the list can't grow
-                # unboundedly while the far heap stays empty.
-                del epoch[:index]
-                index = 0
-            self._epoch_i = index
-            self._len -= 1
-            return entry
-        best: Entry | None = None
-        source = 0
-        urgent = self._now_urgent
-        if urgent:
-            best = urgent[0]
-            source = 1
-        normal = self._now_normal
-        if normal:
-            head = normal[0]
-            if best is None or head < best:
-                best = head
-                source = 2
-        if index >= len(epoch) and self._far:
-            self._refill()
-            epoch = self._epoch
-            index = self._epoch_i
-        if index < len(epoch):
-            head = epoch[index]
-            if best is None or head < best:
-                best = head
-                source = 3
-        far = self._far
-        if far:
-            head = far[0]
-            if best is None or head < best:
-                best = head
-                source = 4
-        if best is None:
-            raise IndexError("pop from an empty scheduler")
-        if source == 1:
-            urgent.popleft()
-        elif source == 2:
-            normal.popleft()
-        elif source == 3:
-            index += 1
-            if index >= 4096:
-                del epoch[:index]
-                index = 0
-            self._epoch_i = index
-        else:
-            heappop(far)
-        self._len -= 1
-        return best
-
-    def peek(self) -> float:
-        best: Entry | None = None
-        if self._now_urgent:
-            best = self._now_urgent[0]
-        if self._now_normal:
-            head = self._now_normal[0]
-            if best is None or head < best:
-                best = head
-        if self._epoch_i < len(self._epoch):
-            head = self._epoch[self._epoch_i]
-            if best is None or head < best:
-                best = head
-        if self._far:
-            head = self._far[0]
-            if best is None or head < best:
-                best = head
-        return best[0] if best is not None else INFINITY
-
-    def _refill(self) -> None:
-        """Pull the next window of far-heap entries into a fresh epoch.
-
-        Heap pops come out ascending, so the new epoch is sorted for
-        free.  The window width adapts toward ``target`` entries per
-        refill; when the cap trips, remaining same-window entries stay
-        in the far heap — the four-way merge in :meth:`pop` keeps
-        ordering exact regardless of which side they live on.
-        """
-        far = self._far
-        start = far[0][0]
-        end = start + self._width
-        out: list[Entry] = []
-        append = out.append
-        cap = self._max_epoch
-        while far and far[0][0] < end and len(out) < cap:
-            append(heappop(far))
-        if not out:
-            # Width underflowed (e.g. enormous magnitudes): take one.
-            append(heappop(far))
-            end = out[0][0]
-        if len(out) >= cap:
-            self._width = max(self._width * 0.5, _MIN_WIDTH)
-            end = out[-1][0]
-        elif far and len(out) < self._target // 2:
-            self._width *= 2.0
-        self._epoch = out
-        self._epoch_i = 0
-        self._epoch_end = end
-
-
 class PermutedScheduler:
     """Schedule-perturbation wrapper: seeded shuffle inside tie classes.
 
-    Wraps any backend from :data:`SCHEDULERS` and pops entries in a
-    *seeded random order within each tie class* while preserving every
-    cross-class ordering guarantee.  A tie class is the set of queued
-    entries sharing one ``(time, priority)`` key — exactly the entries
-    whose relative order the kernel resolves by insertion sequence, i.e.
-    the only ordering freedom a real concurrent system would have.
+    Wraps a :class:`HeapScheduler` and pops entries in a *seeded random
+    order within each tie class* while preserving every cross-class
+    ordering guarantee.  A tie class is the set of queued entries
+    sharing one ``(time, priority)`` key — exactly the entries whose
+    relative order the kernel resolves by insertion sequence, i.e. the
+    only ordering freedom a real concurrent system would have.
 
     This is the mechanism behind ``crayfish verify-order`` (a DPOR-lite
     schedule fuzzer): if an experiment's exports are byte-identical for
@@ -294,17 +62,14 @@ class PermutedScheduler:
     that created it was popped, so a perturbed schedule is always one a
     legal scheduler could have produced.
 
-    Determinism: for a fixed ``(base backend, seed)`` the perturbed pop
-    sequence is itself a pure function of the push sequence, and it is
-    identical across backends because every backend drains ties in the
-    same (key-sorted) order.
+    Determinism: for a fixed seed the perturbed pop sequence is itself
+    a pure function of the push sequence.  The wrapper relies only on
+    the base's ``push``/``pop``/``peek``/``len`` contract.
     """
 
     __slots__ = ("_base", "_rng", "_pools", "_pool_time", "_pooled")
 
-    kind = "permuted"
-
-    def __init__(self, base: object, seed: int) -> None:
+    def __init__(self, base: HeapScheduler, seed: int) -> None:
         from repro.simul.rng import RandomStreams
 
         self._base = base
@@ -317,7 +82,7 @@ class PermutedScheduler:
     def __len__(self) -> int:
         return len(self._base) + self._pooled
 
-    def push(self, entry: Entry, now: float) -> None:
+    def push(self, entry: Entry) -> None:
         if self._pooled and entry[0] == self._pool_time:
             # Scheduled while its tick is draining: joins the live pool
             # (it is available for the very next pop, like any entry the
@@ -325,11 +90,7 @@ class PermutedScheduler:
             self._pools.setdefault((entry[0], entry[1]), []).append(entry)
             self._pooled += 1
         else:
-            self._base.push(entry, now)
-
-    def push_batch(self, entries: typing.Sequence[Entry], now: float) -> None:
-        for entry in entries:
-            self.push(entry, now)
+            self._base.push(entry)
 
     def _drain_tick(self) -> None:
         """Pull every base entry of the next timestamp into the pools."""
@@ -359,10 +120,3 @@ class PermutedScheduler:
         if self._pooled:
             return self._pool_time
         return self._base.peek()
-
-
-#: Registry used by :class:`repro.simul.core.Environment`.
-SCHEDULERS: dict[str, type] = {
-    HeapScheduler.kind: HeapScheduler,
-    CalendarScheduler.kind: CalendarScheduler,
-}

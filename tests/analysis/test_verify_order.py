@@ -1,4 +1,4 @@
-"""Schedule-perturbation proof harness: per-backend tie-order equivalence."""
+"""Schedule-perturbation proof harness: tie-order independence per engine."""
 
 import dataclasses
 
@@ -14,18 +14,16 @@ SMALL = ExperimentConfig(
 
 
 @pytest.mark.parametrize("sps", SPS_NAMES)
-def test_engine_order_independent_on_both_backends(sps):
-    """Heap and calendar backends must pop tie classes equivalently, and
-    seeded permutations of pop order must not move a single export byte."""
+def test_engine_order_independent(sps):
+    """Seeded permutations of tie-class pop order must not move a single
+    export byte."""
     verdict = verify_engine_order(
         dataclasses.replace(SMALL, sps=sps),
         permutations=2,
         sanitize=False,
     )
-    assert verdict.backends_agree
     assert verdict.identical, f"{sps} order-dependent: {verdict.mismatched}"
-    assert len(verdict.permutations) == 4  # 2 backends x 2 seeds
-    assert {p.scheduler for p in verdict.permutations} == {"calendar", "heap"}
+    assert [p.seed for p in verdict.permutations] == [1, 2]
 
 
 def test_clustered_two_nodes_order_independent():

@@ -5,12 +5,8 @@ import pytest
 from repro.simul.core import Environment, kernel_overrides
 from repro.simul.events import NORMAL, URGENT
 from repro.simul.process import Interrupt
-from repro.simul.scheduler import (
-    CalendarScheduler,
-    HeapScheduler,
-    PermutedScheduler,
-    SCHEDULERS,
-)
+from repro.simul.scheduler import HeapScheduler, PermutedScheduler
+from tests.simul.test_scheduler import ListScheduler
 
 
 def _tie_entries(n, time=1.0, priority=NORMAL):
@@ -28,14 +24,14 @@ def _pop_all(scheduler):
 
 
 def test_permuted_preserves_cross_class_order():
-    sched = PermutedScheduler(CalendarScheduler(), seed=1)
+    sched = PermutedScheduler(HeapScheduler(), seed=1)
     entries = (
         _tie_entries(4, time=1.0, priority=URGENT)
         + _tie_entries(4, time=1.0, priority=NORMAL)
         + _tie_entries(3, time=2.0)
     )
     for entry in entries:
-        sched.push(entry, 0.0)
+        sched.push(entry)
     popped = _pop_all(sched)
     keys = [(e[0], e[1]) for e in popped]
     assert keys == sorted(keys)  # (time, priority) order is inviolable
@@ -46,18 +42,18 @@ def test_permuted_shuffles_within_tie_class():
     insertion order — otherwise the harness proves nothing."""
     orders = set()
     for seed in range(1, 6):
-        sched = PermutedScheduler(CalendarScheduler(), seed=seed)
+        sched = PermutedScheduler(HeapScheduler(), seed=seed)
         for entry in _tie_entries(8):
-            sched.push(entry, 0.0)
+            sched.push(entry)
         orders.add(tuple(e[2] for e in _pop_all(sched)))
     assert any(order != tuple(range(8)) for order in orders)
 
 
 def test_permuted_deterministic_for_fixed_seed():
     def run():
-        sched = PermutedScheduler(CalendarScheduler(), seed=7)
+        sched = PermutedScheduler(HeapScheduler(), seed=7)
         for entry in _tie_entries(10):
-            sched.push(entry, 0.0)
+            sched.push(entry)
         return [e[2] for e in _pop_all(sched)]
 
     assert run() == run()
@@ -66,7 +62,8 @@ def test_permuted_deterministic_for_fixed_seed():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_permuted_identical_across_backends(seed):
     """The perturbed pop sequence is a pure function of (push trace,
-    seed) — the wrapped backend must not leak through."""
+    seed) — the wrapped backend must not leak through, so the heap and
+    the naive list oracle perturb identically."""
 
     def run(base_cls):
         sched = PermutedScheduler(base_cls(), seed=seed)
@@ -74,10 +71,10 @@ def test_permuted_identical_across_backends(seed):
             (1.0, URGENT, 100, "u")
         ]
         for entry in entries:
-            sched.push(entry, 0.0)
+            sched.push(entry)
         return [e[2] for e in _pop_all(sched)]
 
-    assert run(CalendarScheduler) == run(HeapScheduler)
+    assert run(HeapScheduler) == run(ListScheduler)
 
 
 def test_permuted_mid_tick_push_joins_live_pool():
@@ -85,9 +82,9 @@ def test_permuted_mid_tick_push_joins_live_pool():
     (causality allows it: the base scheduler would surface it too)."""
     sched = PermutedScheduler(HeapScheduler(), seed=1)
     for entry in _tie_entries(3, time=1.0):
-        sched.push(entry, 0.0)
+        sched.push(entry)
     first = sched.pop()  # drains the t=1 tick into pools
-    sched.push((1.0, NORMAL, 50, "late"), 1.0)
+    sched.push((1.0, NORMAL, 50, "late"))
     rest = _pop_all(sched)
     assert first[0] == 1.0
     assert {e[2] for e in rest} == ({0, 1, 2, 50} - {first[2]})
@@ -95,15 +92,15 @@ def test_permuted_mid_tick_push_joins_live_pool():
 
 
 def test_permuted_empty_pop_raises():
-    sched = PermutedScheduler(CalendarScheduler(), seed=1)
+    sched = PermutedScheduler(HeapScheduler(), seed=1)
     with pytest.raises(IndexError):
         sched.pop()
 
 
 def test_permuted_len_counts_pooled_entries():
-    sched = PermutedScheduler(CalendarScheduler(), seed=1)
+    sched = PermutedScheduler(HeapScheduler(), seed=1)
     for entry in _tie_entries(4):
-        sched.push(entry, 0.0)
+        sched.push(entry)
     assert len(sched) == 4
     sched.pop()
     assert len(sched) == 3  # 3 pooled, 0 in base
@@ -112,17 +109,27 @@ def test_permuted_len_counts_pooled_entries():
 # -- kernel_overrides --------------------------------------------------------
 
 
-def test_kernel_overrides_forces_backend_and_restores():
-    with kernel_overrides(scheduler="heap"):
-        assert Environment().scheduler == "heap"
-    assert Environment().scheduler == "calendar"
+def test_kernel_overrides_scopes_perturbation_and_restores():
+    with kernel_overrides(perturb_seed=3):
+        assert isinstance(Environment()._sched, PermutedScheduler)
+    assert isinstance(Environment()._sched, HeapScheduler)
 
 
 def test_kernel_overrides_nesting_restores_outer():
-    with kernel_overrides(scheduler="heap"):
-        with kernel_overrides(scheduler="calendar"):
-            assert Environment().scheduler == "calendar"
-        assert Environment().scheduler == "heap"
+    class Probe:
+        def attach(self, env):
+            pass
+
+    tracker = Probe()
+    with kernel_overrides(perturb_seed=3):
+        with kernel_overrides(tracker=tracker):
+            inner = Environment()
+            assert isinstance(inner._sched, HeapScheduler)
+            assert inner._tracker is tracker
+        outer = Environment()
+        assert isinstance(outer._sched, PermutedScheduler)
+        assert outer._tracker is None
+    assert Environment()._tracker is None
 
 
 def test_kernel_overrides_perturbed_run_preserves_order_free_results():

@@ -1,11 +1,46 @@
-"""Scheduler backends: calendar/heap equivalence and kernel edge semantics."""
+"""The heap scheduler against a naive oracle, and kernel edge semantics."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.simul import Environment
 from repro.simul.events import NORMAL, URGENT
-from repro.simul.scheduler import CalendarScheduler, HeapScheduler, SCHEDULERS
+from repro.simul.scheduler import HeapScheduler
+
+
+class ListScheduler:
+    """Naive oracle: an unsorted list, popped by ``min()`` over the keys."""
+
+    def __init__(self):
+        self._entries = []
+
+    def __len__(self):
+        return len(self._entries)
+
+    def push(self, entry):
+        self._entries.append(entry)
+
+    def pop(self):
+        if not self._entries:
+            raise IndexError("pop from an empty scheduler")
+        best = min(self._entries)
+        self._entries.remove(best)
+        return best
+
+    def peek(self):
+        return min(self._entries)[0] if self._entries else float("inf")
+
+
+#: The kernel's scheduler backends, keyed by the case id of the
+#: edge-semantics tests below.
+BACKENDS = {"heap": HeapScheduler}
+
+
+def _env(kind):
+    """An unperturbed Environment, checked to run on backend ``kind``."""
+    env = Environment()
+    assert type(env._sched) is BACKENDS[kind]
+    return env
 
 
 def _lcg(seed):
@@ -19,9 +54,8 @@ def _drive(scheduler, seed, ops=2000):
     """Feed a seeded mixed push/pop trace; return the pop order.
 
     The trace mimics kernel traffic: zero-delay entries at both
-    priorities (now-lane candidates), short delays (epoch candidates),
-    and occasional far-future delays (heap candidates), with pops
-    interleaved so `now` advances mid-stream.
+    priorities, short delays, and occasional far-future delays, with
+    pops interleaved so `now` advances mid-stream.
     """
     rand = _lcg(seed)
     now = 0.0
@@ -41,7 +75,7 @@ def _drive(scheduler, seed, ops=2000):
             else:
                 delay = 10.0 + (next(rand) % 1000)
                 priority = NORMAL
-            scheduler.push((now + delay, priority, seq, f"e{seq}"), now)
+            scheduler.push((now + delay, priority, seq, f"e{seq}"))
         else:
             entry = scheduler.pop()
             assert entry[0] >= now
@@ -56,83 +90,33 @@ def _drive(scheduler, seed, ops=2000):
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 1234, 99991])
-def test_calendar_matches_heap_on_mixed_traffic(seed):
-    assert _drive(CalendarScheduler(), seed) == _drive(HeapScheduler(), seed)
+def test_heap_matches_oracle_on_mixed_traffic(seed):
+    assert _drive(HeapScheduler(), seed) == _drive(ListScheduler(), seed)
 
 
-@pytest.mark.parametrize("seed", [3, 17, 2026])
-def test_calendar_matches_heap_with_tiny_epoch(seed):
-    # target/max_epoch small enough that every refill path (cap trip,
-    # width halving/doubling, single-entry fallback) is exercised.
-    tiny = CalendarScheduler(target=4, max_epoch=8)
-    assert _drive(tiny, seed) == _drive(HeapScheduler(), seed)
-
-
-def test_push_batch_matches_individual_pushes():
-    batch_sched = CalendarScheduler()
-    loose_sched = CalendarScheduler()
-    # A live epoch tail first, so the batch merges with existing entries.
-    for scheduler in (batch_sched, loose_sched):
-        scheduler.push((5.0, NORMAL, 1, "tail-a"), 0.0)
-        scheduler.push((9.0, NORMAL, 2, "tail-b"), 0.0)
-    entries = [(1.0 + k, NORMAL, 3 + k, f"b{k}") for k in range(6)]
-    batch_sched.push_batch(entries, 0.0)
-    for entry in entries:
-        loose_sched.push(entry, 0.0)
-    order_batch = [batch_sched.pop() for __ in range(len(batch_sched))]
-    order_loose = [loose_sched.pop() for __ in range(len(loose_sched))]
-    assert order_batch == order_loose
-    assert [e[3] for e in order_batch][:2] == ["b0", "b1"]
-
-
-def test_push_batch_empty_is_noop():
-    scheduler = CalendarScheduler()
-    scheduler.push_batch([], 0.0)
-    assert len(scheduler) == 0
-    assert scheduler.peek() == float("inf")
-
-
-@pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
 def test_peek_tracks_minimum(kind):
-    scheduler = SCHEDULERS[kind]()
+    scheduler = BACKENDS[kind]()
     assert scheduler.peek() == float("inf")
-    scheduler.push((7.0, NORMAL, 1, "late"), 0.0)
-    scheduler.push((2.0, NORMAL, 2, "early"), 0.0)
-    scheduler.push((0.0, URGENT, 3, "now"), 0.0)
+    scheduler.push((7.0, NORMAL, 1, "late"))
+    scheduler.push((2.0, NORMAL, 2, "early"))
+    scheduler.push((0.0, URGENT, 3, "now"))
     assert scheduler.peek() == 0.0
     assert scheduler.pop()[3] == "now"
     assert scheduler.peek() == 2.0
 
 
 def test_pop_empty_raises_index_error():
-    for kind in sorted(SCHEDULERS):
-        with pytest.raises(IndexError):
-            SCHEDULERS[kind]().pop()
+    with pytest.raises(IndexError):
+        HeapScheduler().pop()
 
 
-def test_epoch_prefix_compaction_bounds_memory():
-    scheduler = CalendarScheduler()
-    # Alternate push/pop at ever-increasing times: without prefix
-    # shedding the epoch list would retain every consumed entry.
-    now = 0.0
-    for seq in range(1, 20001):
-        scheduler.push((now + 0.5, NORMAL, seq, None), now)
-        now = scheduler.pop()[0]
-    assert len(scheduler._epoch) - scheduler._epoch_i <= 1
-    assert len(scheduler._epoch) < 8192
+# -- kernel edge semantics --------------------------------------------
 
 
-def test_environment_rejects_unknown_scheduler():
-    with pytest.raises(SimulationError):
-        Environment(scheduler="fifo")
-
-
-# -- kernel edge semantics, identical across backends -----------------
-
-
-@pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
 def test_same_time_events_fire_in_priority_then_insertion_order(kind):
-    env = Environment(scheduler=kind)
+    env = _env(kind)
     order = []
     first = env.event()
     second = env.event()
@@ -147,9 +131,9 @@ def test_same_time_events_fire_in_priority_then_insertion_order(kind):
     assert order == ["urgent", "first", "second"]
 
 
-@pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
 def test_same_time_timeouts_fire_in_creation_order(kind):
-    env = Environment(scheduler=kind)
+    env = _env(kind)
     fired = []
 
     def proc(tag):
@@ -162,9 +146,9 @@ def test_same_time_timeouts_fire_in_creation_order(kind):
     assert fired == ["a", "b", "c", "d"]
 
 
-@pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
 def test_run_until_already_processed_event_returns_immediately(kind):
-    env = Environment(scheduler=kind)
+    env = _env(kind)
     timeout = env.timeout(1.0, value="tick")
     env.run(until=10)
     assert timeout.processed
@@ -175,9 +159,9 @@ def test_run_until_already_processed_event_returns_immediately(kind):
     assert not sentinel.processed
 
 
-@pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
 def test_failed_event_without_watcher_escalates_from_step(kind):
-    env = Environment(scheduler=kind)
+    env = _env(kind)
 
     def crasher():
         yield env.timeout(1.0)
@@ -188,9 +172,9 @@ def test_failed_event_without_watcher_escalates_from_step(kind):
         env.run()
 
 
-@pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
 def test_run_until_deadline_advances_clock_past_empty_queue(kind):
-    env = Environment(scheduler=kind)
+    env = _env(kind)
 
     def proc():
         yield env.timeout(2.0)
@@ -202,8 +186,8 @@ def test_run_until_deadline_advances_clock_past_empty_queue(kind):
     assert env.peek() == float("inf")
 
 
-@pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
 def test_run_until_event_never_fired_raises(kind):
-    env = Environment(scheduler=kind)
+    env = _env(kind)
     with pytest.raises(SimulationError, match="drained"):
         env.run(until=env.event())

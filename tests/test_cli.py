@@ -419,7 +419,7 @@ def test_verify_order_command(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "order-independent" in out
-    assert "byte-identical across 2 perturbed schedule(s)" in out
+    assert "byte-identical across 1 perturbed schedule(s)" in out
 
 
 def test_run_command_sanitized(capsys):
