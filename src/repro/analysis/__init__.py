@@ -2,7 +2,7 @@
 
 Every result this reproduction produces rests on one invariant: a run is
 a pure function of ``(config, seed)``. This package defends that
-invariant three ways:
+invariant four ways:
 
 - an AST-based **linter** (:mod:`repro.analysis.rules`) with a rule
   catalogue tuned to this codebase — wall-clock reads, unseeded global
@@ -12,15 +12,13 @@ invariant three ways:
 - a runtime **determinism sanitizer**
   (:mod:`repro.analysis.sanitizer`) that monkeypatches wall-clock and
   global-RNG entry points to raise during a run;
-- a **dual-run verification harness**
-  (:mod:`repro.analysis.determinism`) that executes the same scenario
-  twice and byte-diffs the results/metrics/trace exports;
+- a **verification harness** (:mod:`repro.analysis.order`,
+  ``crayfish verify-order``) that re-runs an experiment unperturbed and
+  then under seeded permutations of event-tie pop order, byte-diffing
+  the results/metrics/trace exports against a baseline run;
 - a **simulated-concurrency race detector** spanning a static pass over
-  the process graph (:mod:`repro.analysis.races`), a dynamic tie-class
-  access tracker (:mod:`repro.analysis.tierace`), and a
-  schedule-perturbation proof harness (:mod:`repro.analysis.order`,
-  ``crayfish verify-order``) that re-runs an experiment under seeded
-  permutations of event-tie pop order and byte-diffs every export.
+  the process graph (:mod:`repro.analysis.races`) and a dynamic
+  tie-class access tracker (:mod:`repro.analysis.tierace`).
 
 Deliberate exceptions are suppressed in-source with pragmas::
 
@@ -37,7 +35,6 @@ from repro.analysis.core import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.determinism import EngineVerdict, verify_determinism
 from repro.analysis.order import OrderVerdict, verify_order
 from repro.analysis.races import ProcessGraph
 from repro.analysis.rules import all_rules
@@ -46,7 +43,6 @@ from repro.analysis.tierace import TieConflict, TieTracker
 
 __all__ = [
     "DeterminismViolation",
-    "EngineVerdict",
     "FileReport",
     "Finding",
     "OrderVerdict",
@@ -59,6 +55,5 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "verify_determinism",
     "verify_order",
 ]

@@ -1,9 +1,16 @@
 """Command-line interface: run single experiments or scenario presets.
 
-Examples::
+``crayfish run`` is the one single-experiment command: one
+:class:`~repro.config.ExperimentConfig` built from flags, plus the
+instruments asked for (``--trace``, ``--metrics``, ``--fault``,
+``--nodes``, ``--tie-track``). Examples::
 
     crayfish run --sps flink --serving onnx --model ffnn
     crayfish run --sps kafka_streams --serving tf_serving --mp 8
+    crayfish run --ir 50 --trace trace.json --metrics metrics.txt
+    crayfish run --serving tf_serving --ir 100 --fault server-crash --at 2
+    crayfish run --nodes 2 --placement
+    crayfish verify-order --permutations 0
     crayfish latency --sps flink --serving onnx --bsz 128
     crayfish bursts --sps flink --serving onnx
     crayfish list
@@ -12,6 +19,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -28,12 +36,13 @@ from repro.config import (
     WorkloadKind,
 )
 from repro.core.report import format_ms, format_rate, format_table
-from repro.core.runner import run_experiment
+from repro.core.runner import ExperimentRunner, run_experiment
 from repro.core.scenarios import (
     measure_closed_loop_latency,
     measure_sustainable_throughput,
     run_burst_scenario,
 )
+from repro.errors import ConfigError
 
 
 def _add_sut_args(parser: argparse.ArgumentParser) -> None:
@@ -75,6 +84,31 @@ def _config_from(args: argparse.Namespace, **extra: typing.Any) -> ExperimentCon
     )
 
 
+def _separated(
+    cast: typing.Callable[[str], typing.Any],
+    spec: str,
+    sep: str = ",",
+    arity: int | None = None,
+) -> typing.Callable[[str], tuple]:
+    """An argparse ``type=`` for ``sep``-separated values like ``1,2,4``.
+
+    Malformed input (a part ``cast`` rejects, or the wrong number of
+    parts when ``arity`` is set) fails at parse time: argparse names the
+    flag, echoes the value and exits 2.
+    """
+
+    def parse(text: str) -> tuple:
+        parts = text.split(sep)
+        try:
+            if arity is None or len(parts) == arity:
+                return tuple(cast(part) for part in parts)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"wants {spec}, got {text!r}")
+
+    return parse
+
+
 def _export_artifact(
     path: str | None,
     writer: typing.Callable[[str], typing.Any],
@@ -83,10 +117,11 @@ def _export_artifact(
 ) -> None:
     """Write one export artifact and report where it landed.
 
-    Shared by ``crayfish trace`` and ``crayfish metrics``: ensures the
-    output's parent directory exists, invokes ``writer(path)``, and
-    prints a uniform "written to" line. ``path=None`` skips the export
-    (an optional artifact the user did not ask for).
+    Shared by the ``run`` instruments (``--trace``, ``--metrics``) and
+    ``matrix``: ensures the output's parent directory exists, invokes
+    ``writer(path)``, and prints a uniform "written to" line.
+    ``path=None`` skips the export (an optional artifact the user did
+    not ask for).
     """
     if path is None:
         return
@@ -107,10 +142,23 @@ def _maybe_dump(args: argparse.Namespace, results) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    import contextlib
+    """One experiment plus every instrument its flags enable.
 
-    config = _config_from(args, ir=args.ir)
+    ``--fault`` adds the fault-free twin run; ``--trace``/``--metrics``
+    attach to the (faulted) measured run and never change its results.
+    """
+    from repro.metrics import MetricsOptions
+    from repro.tracing.spans import TraceOptions
+
+    config = _run_config(args)
+    tracing = TraceOptions(sample_every=args.sample_every, max_traces=args.max_traces)
+    telemetry = MetricsOptions(scrape_interval=args.scrape_interval)
+    instruments = {
+        "trace": tracing if args.trace else None,
+        "metrics": telemetry if args.metrics else None,
+    }
     tracker = None
+    outcome = None
     with contextlib.ExitStack() as stack:
         if args.sanitize:
             from repro.analysis.sanitizer import determinism_sanitizer
@@ -122,21 +170,141 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
             tracker = TieTracker()
             stack.enter_context(kernel_overrides(tracker=tracker))
-        result = run_experiment(config)
+        if args.fault:
+            from repro.faults.report import run_chaos_scenario
+
+            outcome = run_chaos_scenario(config, **instruments)
+            results = [outcome.baseline, outcome.faulted]
+        else:
+            results = [ExperimentRunner(config).run(**instruments)]
+    result = results[-1]
     rows = [
         ("throughput (events/s)", format_rate(result.throughput)),
         ("mean latency (ms)", format_ms(result.latency.mean)),
         ("p95 latency (ms)", format_ms(result.latency.p95)),
         ("completed batches", result.completed),
     ]
-    print(format_table(["metric", "value"], rows, title=config.label()))
-    _maybe_dump(args, [result])
+    title = config.label()
+    if outcome is not None:
+        rows.extend(_chaos_rows(outcome))
+        title += f" chaos: {args.fault} @ {args.at}s"
+    print(format_table(["metric", "value"], rows, title=title))
+    code = 0
+    if args.trace and not _report_trace(args, config, result.trace):
+        code = 1
+    if args.metrics:
+        _report_metrics(args, config, result.telemetry)
+    if args.placement:
+        from repro.cluster import PlacementPlan
+        from repro.config import is_embedded
+
+        plan = PlacementPlan.from_spec(
+            config.cluster,
+            base_tasks=config.mp,
+            external_serving=not is_embedded(config.serving),
+        )
+        print()
+        print(plan.describe())
+    _maybe_dump(args, results)
     # Recording happens dead last — after the simulation and every
     # export — so the sanitizer and determinism checks never see it.
-    _record_results(_open_store(args), [result], kind="run")
+    kind = "chaos" if args.fault else "cluster" if args.nodes > 0 else "run"
+    _record_results(_open_store(args), results, kind=kind)
     if tracker is not None and _report_tie_conflicts(tracker):
-        return 1
-    return 0
+        code = 1
+    return code
+
+
+def _chaos_rows(outcome) -> list[tuple[str, typing.Any]]:
+    """The ``--fault`` rows: goodput against the twin, recovery, faults."""
+    faulted = outcome.faulted
+    rows = [
+        ("baseline goodput (events/s)", format_rate(outcome.baseline.throughput)),
+        ("goodput ratio", f"{outcome.goodput_ratio:.3f}"),
+        ("completed / produced", f"{faulted.completed} / {faulted.produced}"),
+        ("duplicates (replays)", faulted.duplicates),
+    ]
+    recovery = outcome.recovery
+    if recovery is not None:
+        when = recovery.recovery_time
+        shown = "not within run" if when is None else f"{when:.2f}s"
+        rows.append(("latency recovery", shown))
+        rows.append(("peak latency (ms)", format_ms(recovery.peak_latency)))
+    summary = faulted.faults
+    if summary is not None:
+        rows.append(("faults injected", summary.faults_injected))
+        rows.append(("retries / timeouts", f"{summary.retries} / {summary.timeouts}"))
+        rows.append(("shed / fallbacks", f"{summary.shed} / {summary.fallbacks}"))
+        if summary.engine_restarts:
+            rows.append(
+                ("engine restarts / checkpoints",
+                 f"{summary.engine_restarts} / {summary.checkpoints}"),
+            )
+    return rows
+
+
+def _report_trace(args: argparse.Namespace, config, tracer) -> bool:
+    """The ``--trace`` section; False when no record completed."""
+    from repro.core.report import format_breakdown
+    from repro.tracing.analysis import bottleneck_ranking
+    from repro.tracing.export import save_chrome_trace, save_spans_csv
+
+    finished = tracer.finished_trace_ids()
+    print()
+    print(
+        f"{config.label()}: traced {len(finished)} records "
+        f"({tracer.span_count} spans, {tracer.dropped} dropped by cap)"
+    )
+    if not finished:
+        print("no record completed within the run; nothing to analyze")
+        return False
+    print()
+    print(format_breakdown(tracer))
+    print()
+    ranked = bottleneck_ranking(tracer, top=3)
+    print("bottleneck ranking:")
+    for rank, stat in enumerate(ranked, start=1):
+        print(
+            f"  {rank}. {stat.stage}: {stat.share * 100:.1f}% of latency "
+            f"({format_ms(stat.mean)} ms/record)"
+        )
+    print()
+    _export_artifact(
+        args.trace,
+        lambda p: save_chrome_trace(tracer, p),
+        "Chrome trace",
+        note="(open in chrome://tracing)",
+    )
+    _export_artifact(
+        args.trace_csv, lambda p: save_spans_csv(tracer, p), "span CSV"
+    )
+    return True
+
+
+def _report_metrics(args: argparse.Namespace, config, telemetry) -> None:
+    """The ``--metrics`` section: dashboard plus exports."""
+    from repro.metrics.dashboard import render_dashboard
+    from repro.metrics.export import save_metrics_jsonl, save_openmetrics
+
+    scraper = telemetry.scraper
+    print()
+    print(
+        f"{config.label()}: scraped {len(telemetry.registry)} instruments "
+        f"{scraper.scrapes} times (every {args.scrape_interval}s simulated)"
+    )
+    print()
+    print(render_dashboard(scraper, title=config.label()))
+    print()
+    _export_artifact(
+        args.metrics,
+        lambda p: save_openmetrics(telemetry.registry, p),
+        "OpenMetrics exposition",
+    )
+    _export_artifact(
+        args.metrics_jsonl,
+        lambda p: save_metrics_jsonl(scraper, p),
+        "metrics timeline",
+    )
 
 
 def _report_tie_conflicts(tracker) -> bool:
@@ -257,7 +425,8 @@ def _add_filter_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=int, default=None)
     parser.add_argument(
         "--kind", default=None,
-        help="run kind: run, sweep, matrix, capacity, chaos, bench, golden",
+        help="run kind: run, cluster, chaos, sweep, matrix, capacity, bench, "
+        "golden",
     )
     parser.add_argument("--limit", type=int, default=None)
     parser.add_argument(
@@ -281,10 +450,8 @@ def _history_filter(args: argparse.Namespace):
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core.sweep import sweep
-    from repro.errors import ConfigError
 
     base = _config_from(args, ir=args.ir)
-    values = [int(v) for v in args.values.split(",")]
     rows = []
 
     def progress(overrides, results):
@@ -297,23 +464,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
 
     cache = _open_cache(args)
-    store = _open_store(args)
-    try:
+    with _open_store(args) or contextlib.nullcontext() as store:
         points = sweep(
             base,
-            grid={args.field: values},
+            grid={args.field: list(args.values)},
             seeds=(args.seed, args.seed + 1),
             hook=progress,
             jobs=args.jobs,
             cache=cache,
             store=store,
         )
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    finally:
-        if store is not None:
-            store.close()
     print(
         format_table(
             [args.field, "events/s", "mean latency (ms)"],
@@ -335,7 +495,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         save_results_csv,
         save_run_meta,
     )
-    from repro.errors import ConfigError
     from repro.matrix import (
         format_matrix_table,
         grid_points,
@@ -357,11 +516,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     base = spec.base
     if args.duration is not None:
         base = base.replace(duration=args.duration)
-    seeds = (
-        spec.seeds
-        if args.seeds is None
-        else tuple(int(s) for s in args.seeds.split(","))
-    )
+    seeds = spec.seeds if args.seeds is None else args.seeds
     cache = _open_cache(args)
     total = len(grid_points(spec.grid))
     emitted = []
@@ -380,8 +535,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             f"{format_ms(latency)} ms mean latency"
         )
 
-    store = _open_store(args)
-    try:
+    with _open_store(args) or contextlib.nullcontext() as store:
         report = run_matrix(
             base,
             spec.grid,
@@ -392,12 +546,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             store=store,
             store_kind="matrix",
         )
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    finally:
-        if store is not None:
-            store.close()
     print()
     print(
         format_matrix_table(
@@ -464,88 +612,63 @@ def _cmd_bursts(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.core.report import format_breakdown
-    from repro.core.runner import ExperimentRunner
-    from repro.tracing.analysis import bottleneck_ranking
-    from repro.tracing.export import save_chrome_trace, save_spans_csv
-    from repro.tracing.spans import TraceOptions
+FAULT_CHOICES = ("server-crash", "partition", "network", "straggler", "engine-crash")
 
-    config = _config_from(args, ir=args.ir)
-    options = TraceOptions(
-        sample_every=args.sample_every, max_traces=args.max_traces
+
+def _add_fault_args(parser) -> None:
+    """Fault-injection and client-resilience knobs for ``run --fault``."""
+    parser.add_argument(
+        "--fault", default=None, choices=FAULT_CHOICES,
+        help="inject this fault class and compare against a fault-free twin",
     )
-    result = ExperimentRunner(config).run(trace=options)
-    tracer = result.trace
-    finished = tracer.finished_trace_ids()
-    print(
-        f"{config.label()}: traced {len(finished)} records "
-        f"({tracer.span_count} spans, {tracer.dropped} dropped by cap)"
+    parser.add_argument(
+        "--at", type=float, default=2.0, help="fault start time (simulated s)"
     )
-    if not finished:
-        print("no record completed within the run; nothing to analyze")
-        return 1
-    print()
-    print(format_breakdown(tracer))
-    print()
-    ranked = bottleneck_ranking(tracer, top=3)
-    print("bottleneck ranking:")
-    for rank, stat in enumerate(ranked, start=1):
-        print(
-            f"  {rank}. {stat.stage}: {stat.share * 100:.1f}% of latency "
-            f"({format_ms(stat.mean)} ms/record)"
-        )
-    print()
-    _export_artifact(
-        args.out,
-        lambda p: save_chrome_trace(tracer, p),
-        "Chrome trace",
-        note="(open in chrome://tracing)",
+    parser.add_argument(
+        "--fault-duration", type=float, default=0.5, dest="fault_duration",
+        help="fault window / downtime / recovery time (s)",
     )
-    _export_artifact(args.csv, lambda p: save_spans_csv(tracer, p), "span CSV")
-    return 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.core.runner import ExperimentRunner
-    from repro.metrics import MetricsOptions
-    from repro.metrics.dashboard import render_dashboard
-    from repro.metrics.export import save_metrics_jsonl, save_openmetrics
-
-    config = _config_from(args, ir=args.ir)
-    options = MetricsOptions(scrape_interval=args.scrape_interval)
-    result = ExperimentRunner(config).run(metrics=options)
-    telemetry = result.telemetry
-    scraper = telemetry.scraper
-    print(
-        f"{config.label()}: scraped {len(telemetry.registry)} instruments "
-        f"{scraper.scrapes} times (every {args.scrape_interval}s simulated)"
+    parser.add_argument(
+        "--error-rate", type=float, default=0.0, dest="error_rate",
+        help="network fault: request drop probability",
     )
-    print()
-    print(render_dashboard(scraper, title=config.label()))
-    print()
-    _export_artifact(
-        args.openmetrics,
-        lambda p: save_openmetrics(telemetry.registry, p),
-        "OpenMetrics exposition",
+    parser.add_argument(
+        "--extra-latency", type=float, default=0.005, dest="extra_latency",
+        help="network fault: added one-way latency (s)",
     )
-    _export_artifact(
-        args.jsonl, lambda p: save_metrics_jsonl(scraper, p), "metrics timeline"
+    parser.add_argument(
+        "--slowdown", type=float, default=4.0,
+        help="straggler fault: inference slowdown factor",
     )
-    return 0
+    parser.add_argument(
+        "--partitions-hit", type=int, default=32, dest="partitions_hit",
+        help="partition fault: how many input partitions go down",
+    )
+    parser.add_argument(
+        "--retries", type=int, default=5, help="client retry budget"
+    )
+    parser.add_argument(
+        "--timeout", type=float, default=None,
+        help="client per-attempt deadline (s); omit for none",
+    )
+    parser.add_argument(
+        "--backoff-base", type=float, default=0.05, dest="backoff_base",
+        help="first retry backoff delay (s)",
+    )
+    parser.add_argument(
+        "--checkpoint-interval", type=float, default=0.5,
+        dest="checkpoint_interval",
+        help="engine-crash fault: checkpoint interval (s)",
+    )
+    parser.add_argument(
+        "--no-resilience", action="store_true", dest="no_resilience",
+        help="drop the client resilience layer (failed scores are shed)",
+    )
 
 
-FAULT_CHOICES = (
-    "server-crash",
-    "partition",
-    "network",
-    "straggler",
-    "engine-crash",
-)
-
-
-def _chaos_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Build the faulted configuration for one ``crayfish chaos`` run."""
+def _fault_fields(args: argparse.Namespace) -> dict[str, typing.Any]:
+    """The config fields ``--fault`` sets: a fault plan plus resilience,
+    or engine failure times routed through checkpoint/replay."""
     from repro.faults import (
         FaultPlan,
         NetworkDegradation,
@@ -555,107 +678,42 @@ def _chaos_config(args: argparse.Namespace) -> ExperimentConfig:
         StragglerReplica,
     )
 
-    extra: dict[str, typing.Any] = {"ir": args.ir}
     if args.fault == "engine-crash":
-        extra["checkpoint_interval"] = args.checkpoint_interval
-        extra["failure_times"] = (args.at,)
-        extra["recovery_time"] = args.fault_duration
-    else:
-        if args.fault == "server-crash":
-            plan = FaultPlan(
-                server_crashes=(
-                    ServerCrash(at=args.at, downtime=args.fault_duration),
-                )
-            )
-        elif args.fault == "partition":
-            plan = FaultPlan(
-                partition_outages=(
-                    PartitionOutage(
-                        at=args.at,
-                        duration=args.fault_duration,
-                        partitions=tuple(range(args.partitions_hit)),
-                    ),
-                )
-            )
-        elif args.fault == "network":
-            plan = FaultPlan(
-                network_degradations=(
-                    NetworkDegradation(
-                        at=args.at,
-                        duration=args.fault_duration,
-                        extra_latency=args.extra_latency,
-                        error_rate=args.error_rate,
-                    ),
-                )
-            )
-        else:  # straggler
-            plan = FaultPlan(
-                stragglers=(
-                    StragglerReplica(
-                        at=args.at,
-                        duration=args.fault_duration,
-                        slowdown=args.slowdown,
-                    ),
-                )
-            )
-        extra["fault_plan"] = plan
-    if not args.no_resilience and args.fault != "engine-crash":
-        extra["resilience"] = ResiliencePolicy(
+        return {
+            "checkpoint_interval": args.checkpoint_interval,
+            "failure_times": (args.at,),
+            "recovery_time": args.fault_duration,
+        }
+    window = {"at": args.at, "duration": args.fault_duration}
+    if args.fault == "server-crash":
+        crash = ServerCrash(at=args.at, downtime=args.fault_duration)
+        plan = FaultPlan(server_crashes=(crash,))
+    elif args.fault == "partition":
+        hit = tuple(range(args.partitions_hit))
+        plan = FaultPlan(partition_outages=(PartitionOutage(**window, partitions=hit),))
+    elif args.fault == "network":
+        degradation = NetworkDegradation(
+            **window, extra_latency=args.extra_latency, error_rate=args.error_rate
+        )
+        plan = FaultPlan(network_degradations=(degradation,))
+    else:  # straggler
+        straggler = StragglerReplica(**window, slowdown=args.slowdown)
+        plan = FaultPlan(stragglers=(straggler,))
+    fields: dict[str, typing.Any] = {"fault_plan": plan}
+    if not args.no_resilience:
+        fields["resilience"] = ResiliencePolicy(
             timeout=args.timeout,
             retries=args.retries,
             backoff_base=args.backoff_base,
         )
-    return _config_from(args, **extra)
+    return fields
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults.report import run_chaos_scenario
-
-    config = _chaos_config(args)
-    outcome = run_chaos_scenario(config)
-    summary = outcome.faulted.faults
-    rows = [
-        ("baseline goodput (events/s)", format_rate(outcome.baseline.throughput)),
-        ("faulted goodput (events/s)", format_rate(outcome.faulted.throughput)),
-        ("goodput ratio", f"{outcome.goodput_ratio:.3f}"),
-        ("completed / produced", f"{outcome.faulted.completed} / {outcome.faulted.produced}"),
-        ("duplicates (replays)", outcome.faulted.duplicates),
-    ]
-    if outcome.recovery is not None:
-        recovered = (
-            f"{outcome.recovery.recovery_time:.2f}s"
-            if outcome.recovery.recovery_time is not None
-            else "not within run"
-        )
-        rows.append(("latency recovery", recovered))
-        rows.append(("peak latency (ms)", format_ms(outcome.recovery.peak_latency)))
-    if summary is not None:
-        rows.append(("faults injected", summary.faults_injected))
-        rows.append(("retries / timeouts", f"{summary.retries} / {summary.timeouts}"))
-        rows.append(("shed / fallbacks", f"{summary.shed} / {summary.fallbacks}"))
-        if summary.engine_restarts:
-            rows.append(
-                ("engine restarts / checkpoints",
-                 f"{summary.engine_restarts} / {summary.checkpoints}"),
-            )
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"{config.label()} chaos: {args.fault} @ {args.at}s",
-        )
-    )
-    _maybe_dump(args, [outcome.baseline, outcome.faulted])
-    _record_results(
-        _open_store(args), [outcome.baseline, outcome.faulted], kind="chaos"
-    )
-    return 0
-
-
-def _add_cluster_shape_args(parser: argparse.ArgumentParser) -> None:
-    """Deployment-shape knobs shared by ``cluster run``/``capacity-search``."""
+def _add_cluster_shape_args(parser, nodes: int) -> None:
+    """Deployment-shape knobs shared by ``run``/``capacity-search``."""
     parser.add_argument(
-        "--nodes", type=int, default=2, help="simulated machines in the cluster"
+        "--nodes", type=int, default=nodes,
+        help="simulated machines in the cluster (0: no cluster layer)",
     )
     parser.add_argument(
         "--racks", type=int, default=1,
@@ -680,7 +738,7 @@ def _add_cluster_shape_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_population_args(parser: argparse.ArgumentParser) -> None:
-    """Population-workload knobs for ``cluster run``."""
+    """Population-workload knobs for ``run``."""
     parser.add_argument(
         "--users", type=int, default=0,
         help="simulated population size; 0 keeps the plain --ir workload",
@@ -719,42 +777,20 @@ def _add_population_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--flash-crowd", action="append", default=[], dest="flash_crowds",
         metavar="AT:DURATION:MULTIPLIER",
+        type=_separated(float, "AT:DURATION:MULTIPLIER", sep=":", arity=3),
         help="layer a flash-crowd burst on top (repeatable)",
-    )
-
-
-def _cluster_spec_from_args(args: argparse.Namespace):
-    from repro.cluster.spec import ClusterSpec
-
-    return ClusterSpec(
-        nodes=args.nodes,
-        racks=args.racks,
-        cpus_per_node=args.cpus_per_node,
-        tasks_per_node=args.tasks_per_node,
-        replicas_per_node=args.replicas_per_node,
     )
 
 
 def _population_from_args(args: argparse.Namespace):
     from repro.cluster.spec import FlashCrowd, PopulationSpec
-    from repro.errors import ConfigError
 
     if args.users <= 0:
         return None
-    crowds = []
-    for text in args.flash_crowds:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"--flash-crowd wants AT:DURATION:MULTIPLIER, got {text!r}"
-            )
-        crowds.append(
-            FlashCrowd(
-                at=float(parts[0]),
-                duration=float(parts[1]),
-                multiplier=float(parts[2]),
-            )
-        )
+    crowds = [
+        FlashCrowd(at=at, duration=duration, multiplier=multiplier)
+        for at, duration, multiplier in args.flash_crowds
+    ]
     return PopulationSpec(
         users=args.users,
         distribution=args.distribution,
@@ -768,67 +804,56 @@ def _population_from_args(args: argparse.Namespace):
     )
 
 
-def _cluster_partitions(args: argparse.Namespace, spec) -> int:
-    """Default partition count: at least one per source task slot."""
-    if args.partitions is not None:
-        return args.partitions
-    per_node = spec.tasks_per_node if spec.tasks_per_node else args.mp
-    return max(32, per_node * spec.nodes)
+#: Cluster-shape flags; commands without them (``verify-order``) get the
+#: :class:`~repro.cluster.spec.ClusterSpec` defaults.
+_SHAPE_FLAGS = ("racks", "cpus_per_node", "tasks_per_node", "replicas_per_node")
 
 
-def _cluster_config(args: argparse.Namespace, **extra) -> ExperimentConfig:
-    spec = _cluster_spec_from_args(args)
-    return _config_from(
-        args,
-        cluster=spec,
-        use_broker=True,
-        partitions=_cluster_partitions(args, spec),
-        **extra,
+def _cluster_fields(args: argparse.Namespace) -> dict[str, typing.Any]:
+    """The config fields ``--nodes N`` sets; none when N is 0.
+
+    Partitions default to at least one per source task slot.
+    """
+    from repro.cluster.spec import ClusterSpec
+
+    if args.nodes <= 0:
+        return {}
+    shape = {name: getattr(args, name, None) for name in _SHAPE_FLAGS}
+    spec = ClusterSpec(
+        nodes=args.nodes,
+        **{name: value for name, value in shape.items() if value is not None},
     )
+    partitions = getattr(args, "partitions", None)
+    if partitions is None:
+        per_node = spec.tasks_per_node if spec.tasks_per_node else args.mp
+        partitions = max(32, per_node * spec.nodes)
+    return {"cluster": spec, "use_broker": True, "partitions": partitions}
 
 
-def _cmd_cluster_run(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
-
-    try:
-        population = _population_from_args(args)
-        if population is not None:
-            config = _cluster_config(args, population=population)
-        else:
-            config = _cluster_config(args, ir=args.ir)
-        result = run_experiment(config)
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    rows = [
-        ("throughput (events/s)", format_rate(result.throughput)),
-        ("mean latency (ms)", format_ms(result.latency.mean)),
-        ("p95 latency (ms)", format_ms(result.latency.p95)),
-        ("completed batches", result.completed),
-    ]
-    print(format_table(["metric", "value"], rows, title=config.label()))
-    if args.placement:
-        from repro.cluster import PlacementPlan
-        from repro.config import is_embedded
-
-        plan = PlacementPlan.from_spec(
-            config.cluster,
-            base_tasks=config.mp,
-            external_serving=not is_embedded(config.serving),
-        )
-        print()
-        print(plan.describe())
-    _maybe_dump(args, [result])
-    _record_results(_open_store(args), [result], kind="cluster")
-    return 0
+def _run_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The one config ``run`` builds from its SUT, cluster, population
+    and fault flags."""
+    for flag, needed in (
+        ("trace_csv", "trace"),
+        ("metrics_jsonl", "metrics"),
+        ("placement", "nodes"),
+    ):
+        if getattr(args, flag) and not getattr(args, needed):
+            raise ConfigError(f"--{flag.replace('_', '-')} needs --{needed}")
+    fields = _cluster_fields(args)
+    population = _population_from_args(args)
+    if population is not None:
+        fields["population"] = population  # --ir is ignored
+    else:
+        fields["ir"] = args.ir
+    if args.fault:
+        fields.update(_fault_fields(args))
+    return _config_from(args, **fields)
 
 
 def _cmd_cluster_capacity(args: argparse.Namespace) -> int:
     from repro.cluster import SloPolicy, capacity_curve
-    from repro.errors import ConfigError
 
-    node_counts = tuple(int(n) for n in args.node_counts.split(","))
-    seeds = tuple(int(s) for s in args.seeds.split(","))
     slo = SloPolicy(p95_latency=args.slo_p95, min_goodput=args.min_goodput)
     cache = _open_cache(args)
 
@@ -846,15 +871,14 @@ def _cmd_cluster_capacity(args: argparse.Namespace) -> int:
             f"sustainable after {len(result.probes)} probes"
         )
 
-    store = _open_store(args)
-    try:
-        config = _cluster_config(args, ir=None)
+    config = _config_from(args, ir=None, **_cluster_fields(args))
+    with _open_store(args) or contextlib.nullcontext() as store:
         curve = capacity_curve(
             config,
-            node_counts=node_counts,
+            node_counts=args.node_counts,
             slo=slo,
             size_hook=size_progress,
-            seeds=seeds,
+            seeds=args.seeds,
             start_rate=args.start_rate,
             tolerance=args.tolerance,
             max_probes=args.max_probes,
@@ -863,12 +887,6 @@ def _cmd_cluster_capacity(args: argparse.Namespace) -> int:
             hook=probe_progress if args.verbose else None,
             store=store,
         )
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    finally:
-        if store is not None:
-            store.close()
     rows = [
         (nodes, format_rate(result.capacity), len(result.probes))
         for nodes, result in curve.points
@@ -972,69 +990,9 @@ def _check_suppressions(target: str, paths, reports) -> int:
     return 1
 
 
-def _cmd_verify_determinism(args: argparse.Namespace) -> int:
-    from repro.analysis.determinism import verify_determinism
-
-    extra: dict[str, typing.Any] = {}
-    if args.nodes > 0:
-        from repro.cluster.spec import ClusterSpec
-
-        spec = ClusterSpec(nodes=args.nodes)
-        extra["cluster"] = spec
-        extra["use_broker"] = True
-        extra["partitions"] = max(32, args.mp * args.nodes)
-    config = ExperimentConfig(
-        sps=SPS_NAMES[0],
-        serving=args.serving,
-        model=args.model,
-        bsz=args.bsz,
-        mp=args.mp,
-        seed=args.seed,
-        duration=args.duration,
-        ir=args.ir,
-        **extra,
-    )
-    engines = SPS_NAMES if args.sps == "all" else (args.sps,)
-    verdicts = verify_determinism(
-        config, engines=engines, sanitize=not args.no_sanitize
-    )
-    rows = []
-    for verdict in verdicts:
-        if verdict.identical:
-            digest = verdict.digests[0][1][:12]
-            rows.append((verdict.sps, "byte-identical", digest))
-        else:
-            rows.append(
-                (verdict.sps, "MISMATCH", ", ".join(verdict.mismatched))
-            )
-    print(
-        format_table(
-            ["engine", "dual-run verdict", "results sha256 / diffs"],
-            rows,
-            title=(
-                f"verify-determinism: {args.serving}/{args.model} "
-                f"ir={args.ir} duration={args.duration}s seed={args.seed}"
-            ),
-        )
-    )
-    failed = [v.sps for v in verdicts if not v.identical]
-    if failed:
-        print(f"NONDETERMINISM DETECTED in: {', '.join(failed)}")
-        return 1
-    print(f"all {len(verdicts)} engine(s) reproduce byte-identically")
-    return 0
-
-
 def _cmd_verify_order(args: argparse.Namespace) -> int:
     from repro.analysis.order import verify_order
 
-    extra: dict[str, typing.Any] = {}
-    if args.nodes > 0:
-        from repro.cluster.spec import ClusterSpec
-
-        extra["cluster"] = ClusterSpec(nodes=args.nodes)
-        extra["use_broker"] = True
-        extra["partitions"] = max(32, args.mp * args.nodes)
     config = ExperimentConfig(
         sps=SPS_NAMES[0],
         serving=args.serving,
@@ -1044,7 +1002,7 @@ def _cmd_verify_order(args: argparse.Namespace) -> int:
         seed=args.seed,
         duration=args.duration,
         ir=args.ir,
-        **extra,
+        **_cluster_fields(args),
     )
     engines = SPS_NAMES if args.sps == "all" else (args.sps,)
     verdicts = verify_order(
@@ -1057,14 +1015,14 @@ def _cmd_verify_order(args: argparse.Namespace) -> int:
     for verdict in verdicts:
         if verdict.identical:
             digest = dict(verdict.baseline)["results.json"][:12]
-            rows.append((verdict.sps, "order-independent", digest))
+            passed = "order-independent" if args.permutations else "byte-identical"
+            rows.append((verdict.sps, passed, digest))
         else:
-            rows.append(
-                (verdict.sps, "ORDER-DEPENDENT", ", ".join(verdict.mismatched))
-            )
+            failed = "ORDER-DEPENDENT" if verdict.reproducible else "NONDETERMINISTIC"
+            rows.append((verdict.sps, failed, ", ".join(verdict.mismatched)))
     print(
         format_table(
-            ["engine", "perturbation verdict", "results sha256 / diffs"],
+            ["engine", "verdict", "results sha256 / diffs"],
             rows,
             title=(
                 f"verify-order: {args.serving}/{args.model} ir={args.ir} "
@@ -1073,17 +1031,22 @@ def _cmd_verify_order(args: argparse.Namespace) -> int:
             ),
         )
     )
-    failed = [v.sps for v in verdicts if not v.identical]
-    if failed:
+    nondeterministic = [v.sps for v in verdicts if not v.reproducible]
+    hazards = [v.sps for v in verdicts if v.reproducible and not v.identical]
+    if nondeterministic:
+        print(f"NONDETERMINISM DETECTED in: {', '.join(nondeterministic)}")
+    if hazards:
         print(
             "ORDERING HAZARD: exports depend on event-tie pop order in: "
-            + ", ".join(failed)
+            + ", ".join(hazards)
         )
         print("locate the conflicting sites with: crayfish run --tie-track")
+    if nondeterministic or hazards:
         return 1
     print(
-        f"all {len(verdicts)} engine(s) byte-identical across "
-        f"{args.permutations} perturbed schedule(s) + the unperturbed baseline"
+        f"all {len(verdicts)} engine(s) reproduce byte-identically on an "
+        f"unperturbed repeat and stay byte-identical across "
+        f"{args.permutations} perturbed schedule(s)"
     )
     return 0
 
@@ -1143,23 +1106,15 @@ def _cmd_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_trend(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
     from repro.store import ResultStore, format_trends, trend
 
     path = _require_db(args)
     if path is None:
         return 2
-    try:
-        with ResultStore(path) as store:
-            series = trend(
-                store,
-                args.metric,
-                _history_filter(args),
-                min_points=args.min_points,
-            )
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    with ResultStore(path) as store:
+        series = trend(
+            store, args.metric, _history_filter(args), min_points=args.min_points
+        )
     if args.as_json:
         print(
             json.dumps(
@@ -1211,7 +1166,6 @@ def _regress_current(result, slowdown: float) -> dict[str, float | None]:
 
 
 def _regress_thresholds(args: argparse.Namespace) -> dict[str, float]:
-    from repro.errors import ConfigError
     from repro.store import DEFAULT_THRESHOLDS
     from repro.store.queries import validate_metric
 
@@ -1228,7 +1182,6 @@ def _regress_thresholds(args: argparse.Namespace) -> dict[str, float]:
 
 def _cmd_regress(args: argparse.Namespace) -> int:
     """Run the configured experiment and gate it on the stored baseline."""
-    from repro.errors import ConfigError
     from repro.store import (
         ResultStore,
         compare_to_baseline,
@@ -1236,12 +1189,8 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         slot_id_of,
     )
 
-    try:
-        thresholds = _regress_thresholds(args)
-        config = _config_from(args, ir=args.ir)
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    thresholds = _regress_thresholds(args)
+    config = _config_from(args, ir=args.ir)
     result = run_experiment(config, seed=args.seed)
     current = _regress_current(result, args.self_test_slowdown)
     slot = slot_id_of(config.canonical_dict(), args.seed)
@@ -1330,7 +1279,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run_cmd = commands.add_parser("run", help="one open-loop experiment")
+    run_cmd = commands.add_parser(
+        "run",
+        help="one experiment, optionally traced, scraped, faulted or "
+        "clustered",
+    )
     _add_sut_args(run_cmd)
     run_cmd.add_argument("--ir", type=float, default=None, help="input rate; omit to saturate")
     run_cmd.add_argument(
@@ -1344,6 +1297,45 @@ def build_parser() -> argparse.ArgumentParser:
         "report CONFIRMED pop-order races (nonzero exit when any are "
         "unsuppressed)",
     )
+    tracing = run_cmd.add_argument_group("tracing (on with --trace)")
+    tracing.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="trace records and write the Chrome trace_event export here",
+    )
+    tracing.add_argument(
+        "--trace-csv", default=None, dest="trace_csv", metavar="PATH",
+        help="also write spans as CSV to this path",
+    )
+    tracing.add_argument(
+        "--sample-every", type=int, default=1, dest="sample_every",
+        help="trace every Nth record (head-based sampling)",
+    )
+    tracing.add_argument(
+        "--max-traces", type=int, default=4096, dest="max_traces",
+        help="hard cap on admitted traces (bounds memory)",
+    )
+    telemetry = run_cmd.add_argument_group("telemetry (on with --metrics)")
+    telemetry.add_argument(
+        "--metrics", default=None, metavar="PATH",
+        help="scrape whole-system telemetry and write the OpenMetrics text "
+        "exposition here",
+    )
+    telemetry.add_argument(
+        "--metrics-jsonl", default=None, dest="metrics_jsonl", metavar="PATH",
+        help="also write the scraped timeline as JSONL to this path",
+    )
+    telemetry.add_argument(
+        "--scrape-interval", type=float, default=0.05, dest="scrape_interval",
+        help="simulated seconds between scrapes",
+    )
+    _add_fault_args(run_cmd.add_argument_group("faults (on with --fault)"))
+    cluster = run_cmd.add_argument_group("cluster (on with --nodes)")
+    _add_cluster_shape_args(cluster, nodes=0)
+    _add_population_args(cluster)
+    cluster.add_argument(
+        "--placement", action="store_true",
+        help="also print the node placement plan",
+    )
     _add_store_args(run_cmd)
     run_cmd.set_defaults(func=_cmd_run)
 
@@ -1352,7 +1344,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--ir", type=float, default=None)
     sweep_cmd.add_argument("--field", default="mp", help="config field to sweep")
     sweep_cmd.add_argument(
-        "--values", default="1,2,4,8,16", help="comma-separated integer values"
+        "--values", default="1,2,4,8,16", type=_separated(int, "INT[,INT...]"),
+        help="comma-separated integer values",
     )
     _add_matrix_exec_args(sweep_cmd)
     _add_store_args(sweep_cmd)
@@ -1375,7 +1368,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="describe the available presets and exit",
     )
     matrix_cmd.add_argument(
-        "--seeds", default=None,
+        "--seeds", default=None, type=_separated(int, "SEED[,SEED...]"),
         help="comma-separated seed list overriding the preset's seeds",
     )
     matrix_cmd.add_argument(
@@ -1409,131 +1402,14 @@ def build_parser() -> argparse.ArgumentParser:
     burst_cmd.add_argument("--bursts", type=int, default=3)
     burst_cmd.set_defaults(func=_cmd_bursts)
 
-    trace_cmd = commands.add_parser(
-        "trace", help="trace one experiment: per-stage latency breakdown"
-    )
-    _add_sut_args(trace_cmd)
-    trace_cmd.add_argument("--ir", type=float, default=None, help="input rate; omit to saturate")
-    trace_cmd.add_argument(
-        "--sample-every", type=int, default=1, dest="sample_every",
-        help="trace every Nth record (head-based sampling)",
-    )
-    trace_cmd.add_argument(
-        "--max-traces", type=int, default=4096, dest="max_traces",
-        help="hard cap on admitted traces (bounds memory)",
-    )
-    trace_cmd.add_argument(
-        "--out", default="crayfish_trace.json",
-        help="Chrome trace_event output path",
-    )
-    trace_cmd.add_argument(
-        "--csv", default=None, help="also write spans as CSV to this path"
-    )
-    trace_cmd.set_defaults(func=_cmd_trace)
-
-    metrics_cmd = commands.add_parser(
-        "metrics", help="run one experiment with whole-system telemetry"
-    )
-    _add_sut_args(metrics_cmd)
-    metrics_cmd.add_argument(
-        "--ir", type=float, default=None, help="input rate; omit to saturate"
-    )
-    metrics_cmd.add_argument(
-        "--scrape-interval", type=float, default=0.05, dest="scrape_interval",
-        help="simulated seconds between scrapes",
-    )
-    metrics_cmd.add_argument(
-        "--openmetrics", default="crayfish_metrics.txt",
-        help="OpenMetrics text exposition output path",
-    )
-    metrics_cmd.add_argument(
-        "--jsonl", default=None,
-        help="also write the scraped timeline as JSONL to this path",
-    )
-    metrics_cmd.set_defaults(func=_cmd_metrics)
-
-    chaos_cmd = commands.add_parser(
-        "chaos", help="inject one fault and measure recovery vs. a baseline"
-    )
-    _add_sut_args(chaos_cmd)
-    chaos_cmd.add_argument(
-        "--ir", type=float, default=None, help="input rate; omit to saturate"
-    )
-    chaos_cmd.add_argument(
-        "--fault", default="server-crash", choices=FAULT_CHOICES,
-        help="fault class to inject",
-    )
-    chaos_cmd.add_argument(
-        "--at", type=float, default=2.0, help="fault start time (simulated s)"
-    )
-    chaos_cmd.add_argument(
-        "--fault-duration", type=float, default=0.5, dest="fault_duration",
-        help="fault window / downtime / recovery time (s)",
-    )
-    chaos_cmd.add_argument(
-        "--error-rate", type=float, default=0.0, dest="error_rate",
-        help="network fault: request drop probability",
-    )
-    chaos_cmd.add_argument(
-        "--extra-latency", type=float, default=0.005, dest="extra_latency",
-        help="network fault: added one-way latency (s)",
-    )
-    chaos_cmd.add_argument(
-        "--slowdown", type=float, default=4.0,
-        help="straggler fault: inference slowdown factor",
-    )
-    chaos_cmd.add_argument(
-        "--partitions-hit", type=int, default=32, dest="partitions_hit",
-        help="partition fault: how many input partitions go down",
-    )
-    chaos_cmd.add_argument(
-        "--retries", type=int, default=5, help="client retry budget"
-    )
-    chaos_cmd.add_argument(
-        "--timeout", type=float, default=None,
-        help="client per-attempt deadline (s); omit for none",
-    )
-    chaos_cmd.add_argument(
-        "--backoff-base", type=float, default=0.05, dest="backoff_base",
-        help="first retry backoff delay (s)",
-    )
-    chaos_cmd.add_argument(
-        "--checkpoint-interval", type=float, default=0.5,
-        dest="checkpoint_interval",
-        help="engine-crash fault: checkpoint interval (s)",
-    )
-    chaos_cmd.add_argument(
-        "--no-resilience", action="store_true", dest="no_resilience",
-        help="drop the client resilience layer (failed scores are shed)",
-    )
-    _add_store_args(chaos_cmd)
-    chaos_cmd.set_defaults(func=_cmd_chaos)
-
     cluster_cmd = commands.add_parser(
         "cluster",
-        help="multi-node scale-out simulations: placement, population "
-        "workloads, sustainable-capacity search",
+        help="multi-node sustainable-capacity search (single clustered "
+        "runs: run --nodes N)",
     )
     cluster_sub = cluster_cmd.add_subparsers(
         dest="cluster_command", required=True
     )
-
-    cluster_run = cluster_sub.add_parser(
-        "run", help="one experiment on a simulated multi-node deployment"
-    )
-    _add_sut_args(cluster_run)
-    _add_cluster_shape_args(cluster_run)
-    _add_population_args(cluster_run)
-    cluster_run.add_argument(
-        "--ir", type=float, default=None,
-        help="input rate; omit to saturate (ignored when --users > 0)",
-    )
-    cluster_run.add_argument(
-        "--placement", action="store_true",
-        help="also print the node placement plan",
-    )
-    _add_store_args(cluster_run)
-    cluster_run.set_defaults(func=_cmd_cluster_run)
 
     cluster_cap = cluster_sub.add_parser(
         "capacity-search",
@@ -1541,9 +1417,10 @@ def build_parser() -> argparse.ArgumentParser:
         "against an SLO (Theodolite-style)",
     )
     _add_sut_args(cluster_cap)
-    _add_cluster_shape_args(cluster_cap)
+    _add_cluster_shape_args(cluster_cap, nodes=2)
     cluster_cap.add_argument(
         "--node-counts", default="1,2,4", dest="node_counts",
+        type=_separated(int, "N[,N...]"),
         help="comma-separated deployment sizes to search",
     )
     cluster_cap.add_argument(
@@ -1567,7 +1444,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe budget per deployment size",
     )
     cluster_cap.add_argument(
-        "--seeds", default="0,1",
+        "--seeds", default="0,1", type=_separated(int, "SEED[,SEED...]"),
         help="comma-separated seeds averaged per probe",
     )
     cluster_cap.add_argument(
@@ -1625,41 +1502,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_cmd.set_defaults(func=_cmd_lint)
 
-    verify_cmd = commands.add_parser(
-        "verify-determinism",
-        help="run the same scenario twice per engine and byte-diff "
-        "results/metrics/trace exports",
-    )
-    verify_cmd.add_argument(
-        "--sps", default="all", choices=SPS_NAMES + ("all",),
-        help="engine to check, or all four",
-    )
-    verify_cmd.add_argument("--serving", default="onnx", choices=SERVING_TOOLS)
-    verify_cmd.add_argument("--model", default="ffnn", choices=MODEL_NAMES)
-    verify_cmd.add_argument("--bsz", type=int, default=1)
-    verify_cmd.add_argument("--mp", type=int, default=1)
-    verify_cmd.add_argument("--seed", type=int, default=0)
-    verify_cmd.add_argument(
-        "--ir", type=float, default=50.0, help="input rate (events/s)"
-    )
-    verify_cmd.add_argument(
-        "--duration", type=float, default=2.0, help="simulated seconds"
-    )
-    verify_cmd.add_argument(
-        "--nodes", type=int, default=0,
-        help="also cluster the scenario over this many simulated nodes "
-        "(0 = single-node, no cluster layer)",
-    )
-    verify_cmd.add_argument(
-        "--no-sanitize", action="store_true", dest="no_sanitize",
-        help="skip the runtime sanitizer during the paired runs",
-    )
-    verify_cmd.set_defaults(func=_cmd_verify_determinism)
-
     order_cmd = commands.add_parser(
         "verify-order",
-        help="schedule-perturbation proof: re-run per engine under seeded "
-        "permutations of event-tie pop order and byte-diff all exports",
+        help="determinism and schedule-perturbation proof: re-run each "
+        "engine once unperturbed, then under seeded permutations of "
+        "event-tie pop order, and byte-diff all exports",
     )
     order_cmd.add_argument(
         "--sps", default="all", choices=SPS_NAMES + ("all",),
@@ -1683,7 +1530,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     order_cmd.add_argument(
         "--permutations", type=int, default=3,
-        help="seeded tie-permutation runs per engine",
+        help="seeded tie-permutation runs per engine after the unperturbed "
+        "repeat (0: the dual-run determinism check alone)",
     )
     order_cmd.add_argument(
         "--no-sanitize", action="store_true", dest="no_sanitize",
@@ -1788,7 +1636,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

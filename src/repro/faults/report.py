@@ -9,6 +9,7 @@ reusing the burst-recovery analyzer on the fault window.
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 from repro.config import ExperimentConfig
 from repro.core.analyzer import RecoveryReport, recovery_time
@@ -49,18 +50,24 @@ def run_chaos_scenario(
     seed: int | None = None,
     threshold_factor: float = 2.0,
     dwell: float = 0.5,
+    trace: typing.Any = None,
+    metrics: typing.Any = None,
 ) -> ChaosOutcome:
     """Run ``config`` and its fault-free twin; compare.
 
     The baseline strips the fault plan, the resilience policy, and the
     engine failure times but keeps checkpointing if configured, so the
     comparison isolates the *faults*, not the steady-state overheads.
+    ``trace``/``metrics`` instrument the faulted run only, as in
+    :meth:`~repro.core.runner.ExperimentRunner.run`.
     """
     baseline_config = config.replace(
         fault_plan=None, resilience=None, failure_times=()
     )
     baseline = ExperimentRunner(baseline_config).run(seed=seed)
-    faulted = ExperimentRunner(config).run(seed=seed)
+    faulted = ExperimentRunner(config).run(
+        seed=seed, trace=trace, metrics=metrics
+    )
     ratio = (
         faulted.throughput / baseline.throughput
         if baseline.throughput > 0

@@ -1,14 +1,15 @@
-"""Dual-run verification harness and the linter's clean-tree gate."""
+"""Dual-run determinism check (``verify_order(permutations=0)``) and the
+linter's clean-tree gate."""
 
 import dataclasses
 import pathlib
 
 from repro.analysis.core import lint_paths
-from repro.analysis.determinism import (
+from repro.analysis.order import (
     ARTIFACTS,
     run_fingerprints,
-    verify_determinism,
-    verify_engine,
+    verify_engine_order,
+    verify_order,
 )
 from repro.config import SPS_NAMES, ExperimentConfig
 
@@ -20,15 +21,19 @@ SMALL = ExperimentConfig(
 
 
 def test_verify_engine_all_artifacts_identical():
-    verdict = verify_engine(SMALL)
+    verdict = verify_engine_order(SMALL, permutations=0)
     assert verdict.identical
+    assert verdict.reproducible
     assert verdict.mismatched == ()
-    assert tuple(name for name, *_ in verdict.digests) == ARTIFACTS
+    assert [p.seed for p in verdict.permutations] == [None]
+    assert sorted(name for name, __ in verdict.baseline) == sorted(ARTIFACTS)
 
 
 def test_verify_determinism_all_four_engines():
-    verdicts = verify_determinism(
-        dataclasses.replace(SMALL, duration=1.0), engines=SPS_NAMES
+    verdicts = verify_order(
+        dataclasses.replace(SMALL, duration=1.0),
+        engines=SPS_NAMES,
+        permutations=0,
     )
     assert [v.sps for v in verdicts] == list(SPS_NAMES)
     failed = [v.sps for v in verdicts if not v.identical]

@@ -23,7 +23,7 @@ def test_engine_order_independent(sps):
         sanitize=False,
     )
     assert verdict.identical, f"{sps} order-dependent: {verdict.mismatched}"
-    assert [p.seed for p in verdict.permutations] == [1, 2]
+    assert [p.seed for p in verdict.permutations] == [None, 1, 2]
 
 
 def test_clustered_two_nodes_order_independent():
@@ -61,15 +61,15 @@ def test_verdict_reports_baseline_digests():
     assert all(len(digest) == 64 for __, digest in verdict.baseline)
 
 
-def test_permutation_seed_zero_rejected():
+def test_negative_permutations_rejected():
     with pytest.raises(ValueError):
-        verify_engine_order(SMALL, permutations=0)
+        verify_engine_order(SMALL, permutations=-1)
 
 
 def test_mismatch_is_detectable():
     """The proof must be falsifiable: comparing against a different-seed
     run's artifacts must NOT come out identical."""
-    from repro.analysis.determinism import run_fingerprints
+    from repro.analysis.order import run_fingerprints
 
     first = run_fingerprints(
         dataclasses.replace(SMALL, duration=0.4), sanitize=False

@@ -1,4 +1,5 @@
-"""CLI coverage for ``crayfish cluster`` and the scale-out presets."""
+"""CLI coverage for clustered runs (``run --nodes``), ``crayfish cluster``
+and the scale-out presets."""
 
 import pytest
 
@@ -8,7 +9,7 @@ from repro.cli import main
 def test_cluster_run_command(capsys):
     code = main(
         [
-            "cluster", "run", "--nodes", "2", "--ir", "50",
+            "run", "--nodes", "2", "--ir", "50",
             "--duration", "1", "--placement",
         ]
     )
@@ -22,7 +23,7 @@ def test_cluster_run_command(capsys):
 def test_cluster_run_population(capsys):
     code = main(
         [
-            "cluster", "run", "--nodes", "2", "--duration", "1",
+            "run", "--nodes", "2", "--duration", "1",
             "--users", "5000", "--events-per-user-per-day", "864",
             "--diurnal-period", "20",
             "--flash-crowd", "0.2:0.2:3",
@@ -33,20 +34,21 @@ def test_cluster_run_population(capsys):
 
 
 def test_cluster_run_rejects_bad_flash_crowd(capsys):
-    code = main(
-        [
-            "cluster", "run", "--nodes", "1", "--duration", "1",
-            "--users", "10", "--flash-crowd", "nope",
-        ]
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as exit_:
+        main(
+            [
+                "run", "--nodes", "1", "--duration", "1",
+                "--users", "10", "--flash-crowd", "nope",
+            ]
+        )
+    assert exit_.value.code == 2
     assert "AT:DURATION:MULTIPLIER" in capsys.readouterr().err
 
 
 def test_cluster_run_friendly_config_error(capsys):
     code = main(
         [
-            "cluster", "run", "--nodes", "2", "--duration", "1",
+            "run", "--nodes", "2", "--duration", "1",
             "--tasks-per-node", "4", "--partitions", "4",
         ]
     )
@@ -88,8 +90,8 @@ def test_matrix_accepts_scaleout_preset(capsys):
 def test_verify_determinism_clustered(capsys):
     code = main(
         [
-            "verify-determinism", "--sps", "flink", "--nodes", "2",
-            "--ir", "50", "--duration", "1",
+            "verify-order", "--sps", "flink", "--nodes", "2",
+            "--ir", "50", "--duration", "1", "--permutations", "0",
         ]
     )
     assert code == 0

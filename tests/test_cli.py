@@ -159,9 +159,9 @@ def test_trace_command(tmp_path, capsys):
     csv_path = str(tmp_path / "spans.csv")
     code = main(
         [
-            "trace", "--sps", "flink", "--serving", "onnx",
+            "run", "--sps", "flink", "--serving", "onnx",
             "--ir", "50", "--duration", "2",
-            "--out", trace_path, "--csv", csv_path,
+            "--trace", trace_path, "--trace-csv", csv_path,
         ]
     )
     assert code == 0
@@ -182,9 +182,9 @@ def test_trace_command(tmp_path, capsys):
 def test_trace_command_sampling(capsys, tmp_path):
     code = main(
         [
-            "trace", "--ir", "50", "--duration", "2",
+            "run", "--ir", "50", "--duration", "2",
             "--sample-every", "10", "--max-traces", "5",
-            "--out", str(tmp_path / "t.json"),
+            "--trace", str(tmp_path / "t.json"),
         ]
     )
     assert code == 0
@@ -196,9 +196,9 @@ def test_metrics_command(tmp_path, capsys):
     jsonl_path = tmp_path / "timeline.jsonl"
     code = main(
         [
-            "metrics", "--sps", "flink", "--serving", "onnx",
+            "run", "--sps", "flink", "--serving", "onnx",
             "--duration", "1", "--scrape-interval", "0.1",
-            "--openmetrics", str(om_path), "--jsonl", str(jsonl_path),
+            "--metrics", str(om_path), "--metrics-jsonl", str(jsonl_path),
         ]
     )
     assert code == 0
@@ -221,7 +221,7 @@ def test_metrics_command(tmp_path, capsys):
 def test_chaos_command(capsys):
     code = main(
         [
-            "chaos", "--sps", "flink", "--serving", "tf_serving",
+            "run", "--sps", "flink", "--serving", "tf_serving",
             "--ir", "100", "--duration", "4",
             "--fault", "server-crash", "--at", "2", "--fault-duration", "0.3",
         ]
@@ -236,7 +236,7 @@ def test_chaos_command(capsys):
 def test_chaos_engine_crash_command(capsys):
     code = main(
         [
-            "chaos", "--sps", "kafka_streams", "--serving", "onnx",
+            "run", "--sps", "kafka_streams", "--serving", "onnx",
             "--ir", "100", "--duration", "4",
             "--fault", "engine-crash", "--at", "2", "--fault-duration", "0.3",
             "--checkpoint-interval", "0.5",
@@ -248,16 +248,64 @@ def test_chaos_engine_crash_command(capsys):
     assert "engine restarts / checkpoints" in out
 
 
-def test_chaos_requires_external_serving():
-    from repro.errors import ConfigError
+def test_chaos_requires_external_serving(capsys):
+    code = main(
+        [
+            "run", "--sps", "flink", "--serving", "onnx",
+            "--fault", "server-crash",
+        ]
+    )
+    assert code == 2
+    assert "faults target external serving" in capsys.readouterr().err
 
-    with pytest.raises(ConfigError):
-        main(
-            [
-                "chaos", "--sps", "flink", "--serving", "onnx",
-                "--fault", "server-crash",
-            ]
-        )
+
+def _exit_code(argv):
+    """``main``'s exit code, whether it returns or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exit_:
+        return exit_.code
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--mp", "0"], "mp must be >= 1, got 0"),
+        (
+            ["run", "--serving", "onnx", "--fault", "server-crash"],
+            "faults target external serving",
+        ),
+        (
+            ["run", "--users", "10", "--flash-crowd", "a:0.2:3"],
+            "--flash-crowd: wants AT:DURATION:MULTIPLIER, got 'a:0.2:3'",
+        ),
+        (["sweep", "--values", "1,x"], "--values: wants INT[,INT...], got '1,x'"),
+        (["matrix", "--seeds", "0,x"], "--seeds: wants SEED[,SEED...], got '0,x'"),
+    ],
+)
+def test_bad_input_exits_two_with_message(argv, message, capsys):
+    assert _exit_code(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_instruments_leave_results_untouched(tmp_path, capsys):
+    """Tracing and telemetry are observational: a clustered run with both
+    on writes the same results JSON as the plain run."""
+    base = ["run", "--nodes", "2", "--ir", "50", "--duration", "1"]
+    instrumented = tmp_path / "a.json"
+    plain = tmp_path / "b.json"
+    assert main(
+        base + [
+            "--trace", str(tmp_path / "t.json"),
+            "--metrics", str(tmp_path / "m.txt"),
+            "--json", str(instrumented),
+        ]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "Chrome trace written" in out
+    assert "OpenMetrics exposition written" in out
+    assert main(base + ["--json", str(plain)]) == 0
+    assert instrumented.read_bytes() == plain.read_bytes()
 
 
 def test_invalid_choice_rejected():
@@ -403,7 +451,10 @@ def test_lint_command_check_suppressions_stale_prints_diff(tmp_path, capsys):
 
 def test_verify_determinism_command(capsys):
     code = main(
-        ["verify-determinism", "--sps", "flink", "--ir", "60", "--duration", "1"]
+        [
+            "verify-order", "--sps", "flink", "--ir", "60", "--duration", "1",
+            "--permutations", "0",
+        ]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -420,6 +471,30 @@ def test_verify_order_command(capsys):
     out = capsys.readouterr().out
     assert "order-independent" in out
     assert "byte-identical across 1 perturbed schedule(s)" in out
+
+
+def test_verify_order_separates_nondeterminism_from_hazards(
+    monkeypatch, capsys
+):
+    """A diff on the unperturbed repeat is nondeterminism; a diff on a
+    permutation only is an ordering hazard."""
+    from repro.analysis import order
+
+    calls = []
+
+    def fake_fingerprints(config, sanitize=True):
+        calls.append(config.sps)
+        run = calls.count(config.sps)  # 1 baseline, 2 repeat, 3 seed=1
+        differs = {"flink": 2, "ray": 3}.get(config.sps) == run
+        return {name: b"b" if differs else b"a" for name in order.ARTIFACTS}
+
+    monkeypatch.setattr(order, "run_fingerprints", fake_fingerprints)
+    assert main(["verify-order", "--permutations", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "NONDETERMINISM DETECTED in: flink" in out
+    assert "ORDERING HAZARD: exports depend on event-tie pop order in: ray" in out
+    assert "repeat: results.json" in out
+    assert "seed=1: results.json" in out
 
 
 def test_run_command_sanitized(capsys):

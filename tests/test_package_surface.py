@@ -61,7 +61,7 @@ PUBLIC_MODULES = [
     "repro.analysis.rules",
     "repro.analysis.report",
     "repro.analysis.sanitizer",
-    "repro.analysis.determinism",
+    "repro.analysis.order",
     "repro.cli",
 ]
 
