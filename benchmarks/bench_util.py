@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import statistics
@@ -9,36 +10,30 @@ import typing
 
 from repro.config import ExperimentConfig
 from repro.core.report import format_table
-from repro.core.runner import ExperimentRunner  # noqa: F401 - re-export
-from repro.matrix import ResultCache, run_replicated_cached
+from repro.core.runner import (  # noqa: F401 - ExperimentRunner re-export
+    ExperimentRunner,
+    run_replicated,
+)
 
 #: Seeds for the paper's run-everything-twice protocol.
 SEEDS = (0, 1)
 
-#: Opt-in knobs for the benchmark suite: CRAYFISH_BENCH_CACHE points the
-#: matrix result cache at a directory (re-running the paper tables then
-#: only executes changed points); CRAYFISH_BENCH_JOBS fans replicas out
-#: over worker processes. Defaults reproduce the serial uncached runs.
-_BENCH_CACHE_DIR = os.environ.get("CRAYFISH_BENCH_CACHE")
+#: Opt-in knobs for the benchmark suite: CRAYFISH_STORE names a results
+#: store that caches every replica (re-running the paper tables then only
+#: executes changed points); CRAYFISH_BENCH_JOBS fans replicas out over
+#: worker processes. Defaults reproduce the serial uncached runs.
 _BENCH_JOBS = int(os.environ.get("CRAYFISH_BENCH_JOBS", "1"))
-_BENCH_CACHE = ResultCache(_BENCH_CACHE_DIR) if _BENCH_CACHE_DIR else None
-
-
-def _store_path() -> str | None:
-    """CRAYFISH_STORE, read per call so tests can flip it at runtime.
-
-    When set, the metrics benchmark records its telemetry baselines into
-    the results database (and reads them back from there), on top of the
-    BENCH_metrics.json file it always maintains.
-    """
-    return os.environ.get("CRAYFISH_STORE") or None
 
 
 def replicated(config: ExperimentConfig, seeds=SEEDS):
     """Replicated results via the matrix engine (parallel/cached aware)."""
-    return run_replicated_cached(
-        config, seeds, jobs=_BENCH_JOBS, cache=_BENCH_CACHE
-    )
+    from repro.store import open_store
+
+    with open_store(
+        os.environ.get("CRAYFISH_STORE")
+    ) or contextlib.nullcontext() as store:
+        return run_replicated(config, seeds, jobs=_BENCH_JOBS, store=store)
+
 
 #: The compiled-telemetry baseline the metrics benchmark maintains.
 BENCH_METRICS_PATH = os.path.join(
@@ -105,43 +100,12 @@ def record_bench_metrics(
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    store_path = _store_path()
-    if store_path:
-        from repro.store import ResultStore
-        from repro.store.importers import record_bench_entries
-
-        with ResultStore(store_path) as store:
-            record_bench_entries(store, entries, source="bench")
     return payload
 
 
 def load_bench_baseline(path: str = BENCH_METRICS_PATH) -> dict[str, dict]:
-    """The telemetry regression baseline, one entry per config label.
-
-    Reads the latest stored ``bench`` recording per label from the
-    results database when ``CRAYFISH_STORE`` is set (so the baseline
-    tracks history, not just the last committed file), and falls back to
-    ``BENCH_metrics.json`` — always the answer when no store is
-    configured or the store has no bench rows yet.
-    """
-    store_path = _store_path()
-    if store_path and os.path.exists(store_path):
-        from repro.store import HistoryFilter, ResultStore, history
-
-        with ResultStore(store_path) as store:
-            entries: dict[str, dict] = {}
-            for row in history(store, HistoryFilter(kind="bench")):
-                if row["label"] in entries:
-                    continue  # rows are newest first; keep the latest
-                entries[row["label"]] = {
-                    "throughput": row["throughput"],
-                    "latency_mean": row["latency_mean"],
-                    "latency_p95": row["latency_p95"],
-                    "completed": row["completed"],
-                    "series": store.series_of(row["id"]),
-                }
-            if entries:
-                return entries
+    """The telemetry regression baseline, one entry per config label:
+    the committed ``BENCH_metrics.json`` (empty when absent)."""
     if os.path.exists(path):
         with open(path) as handle:
             return json.load(handle)

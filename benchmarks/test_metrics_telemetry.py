@@ -34,9 +34,8 @@ def test_metrics_telemetry(once, record_table):
             entries[config.label()] = telemetry_summary(result)
         return entries
 
-    # Baseline comes through the results store when CRAYFISH_STORE is
-    # set (latest recorded bench rows), else from BENCH_metrics.json —
-    # read *before* recording so we compare against the prior revision.
+    # Baseline is the committed BENCH_metrics.json, read *before*
+    # recording so we compare against the prior revision.
     baseline = load_bench_baseline()
     entries = once(run_all)
     record_bench_metrics(entries)

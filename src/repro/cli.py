@@ -109,6 +109,30 @@ def _separated(
     return parse
 
 
+def _threshold(text: str) -> tuple[str, float]:
+    """An argparse ``type=`` for ``METRIC=FRACTION`` (``--threshold``)."""
+    metric, sep, value = text.partition("=")
+    try:
+        if sep:
+            return metric, float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"wants METRIC=FRACTION, got {text!r}")
+
+
+def _non_negative_int(text: str) -> int:
+    """An argparse ``type=`` for a count that may be zero."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"wants an integer >= 0, got {text!r}"
+        )
+    return value
+
+
 def _export_artifact(
     path: str | None,
     writer: typing.Callable[[str], typing.Any],
@@ -328,32 +352,21 @@ def _report_tie_conflicts(tracker) -> bool:
 
 
 def _add_matrix_exec_args(parser: argparse.ArgumentParser) -> None:
-    """Worker-pool and result-cache knobs shared by sweep/matrix."""
+    """Worker pool and result cache shared by sweep/matrix/capacity-search."""
     parser.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes to fan grid points x seeds across",
     )
     parser.add_argument(
-        "--cache-dir", default=".crayfish-cache", dest="cache_dir",
-        help="content-addressed result cache directory",
+        "--store", default=None, dest="store_path", metavar="DB",
+        help="SQLite results database and result cache: runs it holds for "
+        "this code replay, the rest run and are recorded "
+        "(default: $CRAYFISH_STORE, else .crayfish-store.sqlite)",
     )
-    parser.add_argument(
-        "--no-cache", action="store_true", dest="no_cache",
-        help="bypass the result cache entirely",
-    )
-
-
-def _open_cache(args: argparse.Namespace):
-    """The result cache selected by ``--cache-dir`` / ``--no-cache``."""
-    if getattr(args, "no_cache", False) or not getattr(args, "cache_dir", None):
-        return None
-    from repro.matrix import ResultCache
-
-    return ResultCache(args.cache_dir)
 
 
 def _add_store_args(parser: argparse.ArgumentParser) -> None:
-    """Results-database recording knob shared by run-producing commands."""
+    """Opt-in results-database recording for ``run``."""
     parser.add_argument(
         "--store", default=None, dest="store_path", metavar="DB",
         help="record results into this SQLite results database "
@@ -362,18 +375,40 @@ def _add_store_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _open_store(args: argparse.Namespace):
-    """The results store selected by ``--store`` / CRAYFISH_STORE, or None.
+    """The store ``run`` records into (``--store`` / CRAYFISH_STORE), or None.
 
-    Recording is strictly opt-in: with neither the flag nor the
-    environment variable set this returns None, and every export stays
-    byte-identical to a build without the store subsystem.
+    Recording is opt-in here: with neither the flag nor the environment
+    variable set this returns None, and nothing is recorded.
     """
     from repro.store import open_store
 
-    path = getattr(args, "store_path", None) or os.environ.get(
-        "CRAYFISH_STORE"
+    return open_store(args.store_path or os.environ.get("CRAYFISH_STORE"))
+
+
+def _store_path(path: str | None) -> str:
+    """``path``, else $CRAYFISH_STORE, else the default database file."""
+    from repro.store import DEFAULT_STORE_PATH
+
+    return path or os.environ.get("CRAYFISH_STORE") or DEFAULT_STORE_PATH
+
+
+def _cache_store(args: argparse.Namespace):
+    """The results store a sweep, matrix or capacity search caches in."""
+    from repro.store import ResultStore
+
+    return ResultStore(_store_path(args.store_path))
+
+
+def _print_tasks(tasks: int, executed: int, jobs: int, store) -> None:
+    """How many tasks ran and how many the store served."""
+    print(
+        f"tasks: {tasks} total, {executed} executed, "
+        f"{tasks - executed} from cache (jobs={jobs})"
     )
-    return open_store(path)
+    print(
+        f"recorded {executed} new run(s) into {store.path} "
+        f"[code fingerprint {store.fingerprint}]"
+    )
 
 
 def _record_results(store, results, kind: str, label: str | None = None) -> None:
@@ -395,21 +430,13 @@ def _add_db_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _db_path(args: argparse.Namespace) -> str:
-    from repro.store import DEFAULT_STORE_PATH
-
-    return (
-        args.db or os.environ.get("CRAYFISH_STORE") or DEFAULT_STORE_PATH
-    )
-
-
 def _require_db(args: argparse.Namespace) -> str | None:
     """The query commands need an existing database; None + error if absent."""
-    path = _db_path(args)
+    path = _store_path(args.db)
     if not os.path.exists(path):
         print(
-            f"error: no results database at {path} — record runs with "
-            "--store or backfill one with `crayfish store import`",
+            f"error: no results database at {path} — record runs into one "
+            "with run --store, sweep, matrix or cluster capacity-search",
             file=sys.stderr,
         )
         return None
@@ -425,8 +452,7 @@ def _add_filter_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=int, default=None)
     parser.add_argument(
         "--kind", default=None,
-        help="run kind: run, cluster, chaos, sweep, matrix, capacity, bench, "
-        "golden",
+        help="run kind: run, cluster, chaos, sweep, matrix, capacity",
     )
     parser.add_argument("--limit", type=int, default=None)
     parser.add_argument(
@@ -449,7 +475,7 @@ def _history_filter(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.core.sweep import sweep
+    from repro.matrix import run_matrix
 
     base = _config_from(args, ir=args.ir)
     rows = []
@@ -463,16 +489,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         )
 
-    cache = _open_cache(args)
-    with _open_store(args) or contextlib.nullcontext() as store:
-        points = sweep(
+    with _cache_store(args) as store:
+        report = run_matrix(
             base,
-            grid={args.field: list(args.values)},
+            {args.field: list(args.values)},
             seeds=(args.seed, args.seed + 1),
-            hook=progress,
             jobs=args.jobs,
-            cache=cache,
+            hook=progress,
             store=store,
+            store_kind="sweep",
         )
     print(
         format_table(
@@ -481,24 +506,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             title=f"{base.label()} sweep over {args.field}",
         )
     )
-    if cache is not None:
-        print(f"cache {args.cache_dir}: {cache.stats.summary()}")
-    if store is not None:
-        print(f"recorded sweep into {store.path}")
-    _maybe_dump(args, [r for point in points for r in point.results])
+    _print_tasks(report.tasks, report.executed, args.jobs, store)
+    _maybe_dump(args, report.results)
     return 0
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    from repro.core.results_io import (
-        save_records_jsonl,
-        save_results_csv,
-        save_run_meta,
-    )
+    from repro.core.results_io import save_records_jsonl, save_results_csv
     from repro.matrix import (
         format_matrix_table,
         grid_points,
-        matrix_meta,
         preset,
         preset_names,
         run_matrix,
@@ -517,7 +534,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.duration is not None:
         base = base.replace(duration=args.duration)
     seeds = spec.seeds if args.seeds is None else args.seeds
-    cache = _open_cache(args)
     total = len(grid_points(spec.grid))
     emitted = []
 
@@ -535,16 +551,14 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             f"{format_ms(latency)} ms mean latency"
         )
 
-    with _open_store(args) or contextlib.nullcontext() as store:
+    with _cache_store(args) as store:
         report = run_matrix(
             base,
             spec.grid,
             seeds=seeds,
             jobs=args.jobs,
-            cache=cache,
             hook=progress,
             store=store,
-            store_kind="matrix",
         )
     print()
     print(
@@ -552,29 +566,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             report, spec.grid, title=f"matrix preset {spec.name!r}"
         )
     )
-    from_cache = report.tasks - report.executed
-    print(
-        f"tasks: {report.tasks} total, {report.executed} executed, "
-        f"{from_cache} from cache (jobs={args.jobs})"
-    )
-    if cache is not None:
-        print(
-            f"cache {args.cache_dir}: {cache.stats.summary()} "
-            f"[code fingerprint {cache.fingerprint}]"
-        )
-    if store is not None:
-        print(f"recorded matrix into {store.path}")
+    _print_tasks(report.tasks, report.executed, args.jobs, store)
     _export_artifact(
         args.jsonl,
         lambda p: save_records_jsonl(report.records, p),
         "result records JSONL",
     )
-    if args.jsonl:
-        # Execution metadata (incl. cache hit/miss/invalidation stats)
-        # rides in a sidecar: the record lines must stay byte-identical
-        # between cold and warm runs, the cache traffic cannot.
-        sidecar = save_run_meta(args.jsonl, matrix_meta(report, spec.grid))
-        print(f"matrix metadata written to {sidecar}")
     _export_artifact(
         args.csv,
         lambda p: save_results_csv(report.results, p),
@@ -855,7 +852,6 @@ def _cmd_cluster_capacity(args: argparse.Namespace) -> int:
     from repro.cluster import SloPolicy, capacity_curve
 
     slo = SloPolicy(p95_latency=args.slo_p95, min_goodput=args.min_goodput)
-    cache = _open_cache(args)
 
     def probe_progress(point):
         verdict = "sustained" if point.sustained else "broken"
@@ -872,7 +868,7 @@ def _cmd_cluster_capacity(args: argparse.Namespace) -> int:
         )
 
     config = _config_from(args, ir=None, **_cluster_fields(args))
-    with _open_store(args) or contextlib.nullcontext() as store:
+    with _cache_store(args) as store:
         curve = capacity_curve(
             config,
             node_counts=args.node_counts,
@@ -883,7 +879,6 @@ def _cmd_cluster_capacity(args: argparse.Namespace) -> int:
             tolerance=args.tolerance,
             max_probes=args.max_probes,
             jobs=args.jobs,
-            cache=cache,
             hook=probe_progress if args.verbose else None,
             store=store,
         )
@@ -908,10 +903,13 @@ def _cmd_cluster_capacity(args: argparse.Namespace) -> int:
         else "WARNING: capacity is NOT monotonic over node counts"
     )
     print(verdict)
-    if cache is not None:
-        print(f"cache {args.cache_dir}: {cache.stats.summary()}")
-    if store is not None:
-        print(f"recorded capacity search into {store.path}")
+    results = [result for __, result in curve.points]
+    _print_tasks(
+        sum(len(result.probes) for result in results) * len(args.seeds),
+        sum(result.executed for result in results),
+        args.jobs,
+        store,
+    )
     return 0 if curve.monotonic else 1
 
 
@@ -1051,27 +1049,6 @@ def _cmd_verify_order(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_import(args: argparse.Namespace) -> int:
-    from repro.store import ResultStore
-    from repro.store.importers import import_all
-
-    path = _db_path(args)
-    with ResultStore(path) as store:
-
-        def progress(name, partial):
-            print(f"  {name}: {partial.summary()}")
-
-        report = import_all(store, args.root, hook=progress)
-        counts = store.counts()
-    print(f"import complete: {report.summary()}")
-    print(
-        f"store {path}: {counts['runs']} run(s), "
-        f"{counts['sweeps']} sweep(s), {counts['series']} series row(s), "
-        f"{counts['artifacts']} artifact(s)"
-    )
-    return 0
-
-
 def _cmd_store_info(args: argparse.Namespace) -> int:
     from repro.store import SCHEMA_VERSION, ResultStore
 
@@ -1170,13 +1147,8 @@ def _regress_thresholds(args: argparse.Namespace) -> dict[str, float]:
     from repro.store.queries import validate_metric
 
     thresholds = dict(DEFAULT_THRESHOLDS)
-    for text in args.thresholds:
-        metric, sep, value = text.partition("=")
-        if not sep:
-            raise ConfigError(
-                f"--threshold wants METRIC=FRACTION, got {text!r}"
-            )
-        thresholds[validate_metric(metric)] = float(value)
+    for metric, fraction in args.thresholds:
+        thresholds[validate_metric(metric)] = fraction
     return thresholds
 
 
@@ -1196,7 +1168,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
     slot = slot_id_of(config.canonical_dict(), args.seed)
     # Recording the degraded self-test values would poison the baseline.
     may_record = args.self_test_slowdown == 1.0 and not args.no_record
-    with ResultStore(_db_path(args)) as store:
+    with ResultStore(_store_path(args.db)) as store:
         verdict = compare_to_baseline(
             store, slot, config.label(), current, thresholds
         )
@@ -1348,12 +1320,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated integer values",
     )
     _add_matrix_exec_args(sweep_cmd)
-    _add_store_args(sweep_cmd)
     sweep_cmd.set_defaults(func=_cmd_sweep)
 
     matrix_cmd = commands.add_parser(
         "matrix",
-        help="run a full experiment matrix: parallel workers + result cache",
+        help="run a full experiment matrix: parallel workers + results store "
+        "as result cache",
     )
     matrix_cmd.add_argument(
         "--preset", default="smoke",
@@ -1387,7 +1359,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the result(s) as JSON to this path",
     )
     _add_matrix_exec_args(matrix_cmd)
-    _add_store_args(matrix_cmd)
     matrix_cmd.set_defaults(func=_cmd_matrix)
 
     lat_cmd = commands.add_parser("latency", help="closed-loop latency")
@@ -1452,7 +1423,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every probe, not just per-size results",
     )
     _add_matrix_exec_args(cluster_cap)
-    _add_store_args(cluster_cap)
     cluster_cap.set_defaults(func=_cmd_cluster_capacity)
 
     lint_cmd = commands.add_parser(
@@ -1529,7 +1499,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = single-node, no cluster layer)",
     )
     order_cmd.add_argument(
-        "--permutations", type=int, default=3,
+        "--permutations", type=_non_negative_int, default=3,
         help="seeded tie-permutation runs per engine after the unperturbed "
         "repeat (0: the dual-run determinism check alone)",
     )
@@ -1540,19 +1510,9 @@ def build_parser() -> argparse.ArgumentParser:
     order_cmd.set_defaults(func=_cmd_verify_order)
 
     store_cmd = commands.add_parser(
-        "store", help="results database maintenance (import, info)"
+        "store", help="results database maintenance (info)"
     )
     store_sub = store_cmd.add_subparsers(dest="store_command", required=True)
-    store_import = store_sub.add_parser(
-        "import",
-        help="backfill history from committed artifacts "
-        "(BENCH_metrics.json, golden files, benchmarks/results)",
-    )
-    _add_db_arg(store_import)
-    store_import.add_argument(
-        "--root", default=".", help="repository root to scan for artifacts"
-    )
-    store_import.set_defaults(func=_cmd_store_import)
     store_info = store_sub.add_parser(
         "info", help="schema version, provenance stamps, and row counts"
     )
@@ -1593,7 +1553,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_db_arg(regress_cmd)
     regress_cmd.add_argument(
         "--threshold", action="append", default=[], dest="thresholds",
-        metavar="METRIC=FRACTION",
+        metavar="METRIC=FRACTION", type=_threshold,
         help="override a relative threshold, e.g. throughput=0.10 "
         "(repeatable)",
     )

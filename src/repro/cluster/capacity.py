@@ -7,9 +7,9 @@ Theodolite / Henning & Hasselbring, also used by PDSP-Bench). The
 driver here binary-searches that rate per configuration: geometric
 doubling until the SLO first breaks, then bisection of the bracket to a
 relative tolerance. Every probe runs through
-:func:`repro.core.runner.run_replicated`, so worker processes and the
-content-addressed result cache apply — re-searching a cached
-configuration replays instantly.
+:func:`repro.matrix.engine.run_matrix`, so worker processes and the
+results store apply — re-searching a configuration the store already
+holds replays every probe instead of running it.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import math
 import typing
 
 from repro.config import ExperimentConfig, WorkloadKind
-from repro.core.runner import ExperimentResult, run_replicated
+from repro.core.runner import ExperimentResult
 from repro.errors import ConfigError
+from repro.matrix.engine import run_matrix
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,6 +80,9 @@ class CapacityResult:
     #: lowest probe failed).
     capacity: float
     probes: tuple[CapacityPoint, ...]
+    #: Probe tasks (probe × seed) that ran; the rest replayed from the
+    #: results store.
+    executed: int = 0
 
     @property
     def label(self) -> str:
@@ -117,7 +121,6 @@ def search_capacity(
     tolerance: float = 0.1,
     max_probes: int = 24,
     jobs: int = 1,
-    cache: typing.Any = None,
     hook: typing.Callable[[CapacityPoint], None] | None = None,
     store: typing.Any = None,
 ) -> CapacityResult:
@@ -129,10 +132,11 @@ def search_capacity(
     probe (progress printing). The returned capacity is the highest
     *actually probed and sustained* rate — a conservative lower bound.
 
-    ``store`` (a :class:`repro.store.ResultStore`) records every probe
-    run under one ``capacity`` sweep whose metadata carries the found
-    capacity and the probe trajectory. Probe configs differ in offered
-    rate, so each probe owns its own content-addressed slot.
+    ``store`` (a :class:`repro.store.ResultStore`) is the probes'
+    result cache: each probe task replays from it or runs and is
+    recorded under one ``capacity`` sweep, whose metadata carries the
+    found capacity and the probe trajectory. Probe configs differ in
+    offered rate, so each probe owns its own content-addressed slot.
     """
     if slo is None:
         slo = SloPolicy()
@@ -144,6 +148,7 @@ def search_capacity(
         raise ConfigError(f"max_probes must be >= 2, got {max_probes}")
 
     probes: list[CapacityPoint] = []
+    executed = 0
     sweep_id = None
     if store is not None:
         sweep_id = store.record_sweep(
@@ -151,14 +156,18 @@ def search_capacity(
         )
 
     def probe(rate: float) -> bool:
-        results = run_replicated(
-            _at_rate(config, rate), seeds=seeds, jobs=jobs, cache=cache
+        nonlocal executed
+        report = run_matrix(
+            _at_rate(config, rate),
+            {},
+            seeds=seeds,
+            jobs=jobs,
+            store=store,
+            store_kind="capacity",
+            sweep_id=sweep_id,
         )
-        if store is not None:
-            for seed, result in zip(seeds, results):
-                store.record_result(
-                    result, seed=seed, kind="capacity", sweep_id=sweep_id
-                )
+        executed += report.executed
+        results = report.points[0].results
         point = CapacityPoint(
             rate=rate,
             sustained=slo.satisfied(rate, results),
@@ -188,7 +197,9 @@ def search_capacity(
                 low = mid
             else:
                 high = mid
-    result = CapacityResult(config=config, capacity=low, probes=tuple(probes))
+    result = CapacityResult(
+        config=config, capacity=low, probes=tuple(probes), executed=executed
+    )
     if store is not None:
         store.update_sweep_meta(
             sweep_id,

@@ -384,7 +384,8 @@ class ExperimentConfig:
         Enums collapse to their values and every sequence becomes a
         plain list, so a config built with ``isz=[4]`` and one built
         with ``isz=(4,)`` canonicalize identically. This is the basis of
-        the content-addressed result cache (:mod:`repro.matrix.cache`).
+        the results store's slot identity and result cache
+        (:func:`repro.store.slot_id_of`).
         """
         return _canonical_value(dataclasses.asdict(self))
 

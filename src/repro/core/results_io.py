@@ -5,7 +5,7 @@ spreadsheet-friendly sweep exports. Loading returns plain dictionaries —
 results are records, not live objects — except for
 :func:`result_from_record`, which rebuilds a live
 :class:`~repro.core.runner.ExperimentResult` from its full record (the
-content-addressed cache in :mod:`repro.matrix` depends on this
+matrix engine's replay from the results store depends on this
 round-trip being lossless).
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import os
 import typing
 
 from repro.config import config_from_dict
@@ -27,8 +26,9 @@ def result_to_dict(result: ExperimentResult) -> dict:
 
     The config block is the *canonical* dict (enums as values, tuples as
     lists, sorted keys), so an in-memory record compares equal to the
-    same record after a JSON round-trip — the matrix cache relies on
-    replayed records being indistinguishable from fresh ones.
+    same record after a JSON round-trip — the matrix engine relies on
+    records replayed from the store being indistinguishable from fresh
+    ones.
     """
     return {
         "config": result.config.canonical_dict(),
@@ -121,8 +121,9 @@ def save_records_jsonl(records: typing.Sequence[dict], path: str) -> None:
     """Write result records as JSON Lines, one canonical line per record.
 
     Lines are serialized with sorted keys and compact separators, so the
-    bytes depend only on record *content* — a cache-replayed matrix and
-    a cold one export identically, as do ``--jobs 1`` and ``--jobs N``.
+    bytes depend only on record *content* — a matrix replayed from the
+    results store and a cold one export identically, as do ``--jobs 1``
+    and ``--jobs N``.
     """
     with open(path, "w") as handle:
         for record in records:
@@ -130,36 +131,6 @@ def save_records_jsonl(records: typing.Sequence[dict], path: str) -> None:
                 json.dumps(record, sort_keys=True, separators=(",", ":"))
             )
             handle.write("\n")
-
-
-def meta_sidecar_path(path: str) -> str:
-    """The metadata sidecar next to an export (``x.jsonl`` → ``x.meta.json``)."""
-    root, __ = os.path.splitext(path)
-    return root + ".meta.json"
-
-
-def save_run_meta(path: str, meta: dict) -> str:
-    """Write execution metadata as the sidecar of the export at ``path``.
-
-    Cache statistics, job counts, and other run-of-the-run facts must
-    not live in the record lines — a cache-warm matrix and a cold one
-    export byte-identical records but different cache traffic — so they
-    go in a sibling ``.meta.json``. Returns the sidecar path.
-    """
-    sidecar = meta_sidecar_path(path)
-    with open(sidecar, "w") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return sidecar
-
-
-def load_run_meta(path: str) -> dict:
-    """Read the metadata sidecar for the export at ``path``."""
-    with open(meta_sidecar_path(path)) as handle:
-        meta = json.load(handle)
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path!r} sidecar does not contain metadata")
-    return meta
 
 
 def load_records_jsonl(path: str) -> list[dict]:

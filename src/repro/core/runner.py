@@ -514,21 +514,23 @@ def run_replicated(
     config: ExperimentConfig,
     seeds: typing.Sequence[int] = (0, 1),
     jobs: int = 1,
-    cache: typing.Any = None,
+    store: typing.Any = None,
 ) -> list[ExperimentResult]:
     """The paper's protocol: run each experiment twice and report
     averages and standard deviations (§4.2).
 
-    ``jobs`` > 1 replicates across worker processes, and ``cache`` (a
-    :class:`repro.matrix.cache.ResultCache`) replays seeds that already
-    ran — both through :mod:`repro.matrix.engine`, which guarantees
-    results identical to the plain in-process loop.
+    ``jobs`` > 1 replicates across worker processes, and ``store`` (a
+    :class:`repro.store.ResultStore`) replays seeds that already ran and
+    records the rest — both through :mod:`repro.matrix.engine` as a
+    one-point matrix, which guarantees results identical to the plain
+    in-process loop.
     """
     if not seeds:
         raise ConfigError("need at least one seed")
-    if jobs != 1 or cache is not None:
-        from repro.matrix.engine import run_replicated_cached
+    if jobs != 1 or store is not None:
+        from repro.matrix.engine import run_matrix
 
-        return run_replicated_cached(config, seeds, jobs=jobs, cache=cache)
+        report = run_matrix(config, {}, seeds=seeds, jobs=jobs, store=store)
+        return list(report.points[0].results)
     runner = ExperimentRunner(config)
     return [runner.run(seed=seed) for seed in seeds]

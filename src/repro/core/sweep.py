@@ -1,11 +1,10 @@
 """Parameter sweeps: run grids of configurations with replication.
 
-:func:`sweep` is the stable front door; since PR 5 it delegates to the
-parallel experiment-matrix engine (:mod:`repro.matrix.engine`), so
-callers can opt into worker processes (``jobs``) and the
-content-addressed result cache (``cache``) without changing shape:
-ordering, aggregates, and hook sequence are byte-identical to the old
-serial implementation.
+:func:`sweep` is the stable front door; it delegates to the parallel
+experiment-matrix engine (:mod:`repro.matrix.engine`), so callers can
+opt into worker processes (``jobs``) and the results store as result
+cache (``store``) without changing shape: ordering, aggregates, and
+hook sequence are byte-identical to a serial, storeless run.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ def sweep(
     seeds: typing.Sequence[int] = (0, 1),
     hook: typing.Callable[[dict, typing.Sequence[ExperimentResult]], None] | None = None,
     jobs: int = 1,
-    cache: typing.Any = None,
     store: typing.Any = None,
 ) -> list[SweepPoint]:
     """Run the cartesian product of ``grid`` over ``base``.
@@ -70,10 +68,10 @@ def sweep(
     grid order, e.g. for progress printing.
 
     ``jobs`` > 1 fans the points × seeds out over worker processes;
-    ``cache`` (a :class:`repro.matrix.cache.ResultCache`) replays
-    already-computed points instead of re-executing them. Both leave the
-    returned points identical to a serial, uncached run. ``store`` (a
-    :class:`repro.store.ResultStore`) records the finished sweep.
+    ``store`` (a :class:`repro.store.ResultStore`) replays
+    already-computed runs instead of re-executing them and records the
+    rest as one ``sweep``. Both leave the returned points identical to a
+    serial, storeless run.
     """
     if not grid:
         raise ValueError("empty sweep grid")
@@ -84,7 +82,6 @@ def sweep(
         grid,
         seeds=seeds,
         jobs=jobs,
-        cache=cache,
         hook=hook,
         store=store,
         store_kind="sweep",

@@ -1,41 +1,33 @@
 """repro.matrix — parallel, cached, resumable experiment matrices.
 
 The engine (:mod:`repro.matrix.engine`) fans grid points × seeds across
-worker processes and merges deterministically; the cache
-(:mod:`repro.matrix.cache`) content-addresses every (config, seed)
-result by canonical config + seed + code fingerprint, so re-running a
-sweep executes only changed or missing points and interrupted runs
-resume for free. Presets (:mod:`repro.matrix.presets`) package the
-paper's headline grids behind ``crayfish matrix``.
+worker processes and merges deterministically. Given a results store
+(:mod:`repro.store`) it replays every (config, seed) task the store
+already holds under the current code fingerprint
+(:mod:`repro.matrix.fingerprint`) and records the rest as they finish,
+so re-running a sweep executes only changed or missing points and
+interrupted runs resume. Presets (:mod:`repro.matrix.presets`) package
+the paper's headline grids behind ``crayfish matrix``.
 """
 
-from repro.matrix.cache import CacheStats, ResultCache
 from repro.matrix.engine import (
     MatrixReport,
     execute_task,
     format_matrix_table,
     grid_points,
-    matrix_meta,
-    record_matrix_report,
     run_matrix,
-    run_replicated_cached,
 )
 from repro.matrix.fingerprint import code_fingerprint
 from repro.matrix.presets import MatrixSpec, preset, preset_names
 
 __all__ = [
-    "CacheStats",
     "MatrixReport",
     "MatrixSpec",
-    "ResultCache",
     "code_fingerprint",
     "execute_task",
     "format_matrix_table",
     "grid_points",
-    "matrix_meta",
     "preset",
     "preset_names",
-    "record_matrix_report",
     "run_matrix",
-    "run_replicated_cached",
 ]

@@ -10,9 +10,13 @@ distinguishable from ``jobs=1`` by anything but wall-clock.
 Every task funnels through one serialization round-trip
 (:func:`repro.core.results_io.result_record` /
 :func:`~repro.core.results_io.result_from_record`), whether it executed
-in-process, crossed a process boundary, or replayed from the
-content-addressed cache — so all three paths yield identical results by
-construction.
+in-process, crossed a process boundary, or replayed from the results
+store — so all three paths yield identical results by construction.
+
+The store (:class:`repro.store.ResultStore`) is the result cache: a
+task whose (config, seed) slot already holds a live row recorded under
+the current code fingerprint replays that row instead of running, and
+every task that does run is recorded the moment it finishes.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from repro.core.results_io import result_from_record, result_record
 from repro.core.runner import ExperimentRunner
 from repro.core.sweep import SweepPoint, validate_override_fields
 from repro.errors import ConfigError
-from repro.matrix.cache import CacheStats, ResultCache
 
 #: Progress/result hook: called once per grid point, in grid order.
 PointHook = typing.Callable[
@@ -57,12 +60,10 @@ class MatrixReport:
     records: list[dict]
     #: Seeds each point was replicated over.
     seeds: tuple[int, ...]
-    #: Tasks that actually executed (the rest replayed from cache).
+    #: Tasks that actually executed (the rest replayed from the store).
     executed: int
     #: Worker processes used for the executed tasks.
     jobs: int
-    #: Cache traffic, when a cache was attached; None otherwise.
-    cache_stats: CacheStats | None
 
     @property
     def results(self) -> list:
@@ -96,24 +97,26 @@ def run_matrix(
     grid: dict[str, typing.Sequence],
     seeds: typing.Sequence[int] = (0, 1),
     jobs: int = 1,
-    cache: ResultCache | None = None,
     hook: PointHook | None = None,
     store: typing.Any = None,
     store_kind: str = "matrix",
+    sweep_id: int | None = None,
 ) -> MatrixReport:
     """Run ``grid`` × ``seeds`` over ``base``, in parallel and cached.
 
-    ``jobs`` worker processes execute the tasks the cache cannot serve
+    ``jobs`` worker processes execute the tasks the store cannot serve
     (``jobs=1`` stays in-process). ``hook`` fires once per grid point —
     always in grid order, as soon as every earlier point is complete —
-    so progress output is deterministic too. Interrupted runs resume for
-    free: completed tasks are already in the cache, only missing slots
-    re-execute.
+    so progress output is deterministic too.
 
-    ``store`` (a :class:`repro.store.ResultStore`) records the finished
-    matrix as one sweep — every run plus the execution/cache metadata —
-    strictly after all tasks complete, so recording can never perturb
-    the run itself.
+    ``store`` (a :class:`repro.store.ResultStore`) is the result cache.
+    Each task first looks up its slot (:meth:`ResultStore.lookup`) and
+    replays the stored record on a hit. Each task that runs is recorded
+    as a ``store_kind`` run the moment it finishes, under sweep
+    ``sweep_id`` — or, when that is None, under one new sweep row for
+    this call. An interrupted run therefore resumes: only the tasks it
+    never finished execute again. Replayed tasks are not recorded twice.
+    With no store nothing is looked up or recorded.
     """
     seeds = tuple(seeds)
     if not seeds:
@@ -130,97 +133,61 @@ def run_matrix(
     for point_index, config in enumerate(configs):
         for seed_index, seed in enumerate(seeds):
             index = point_index * width + seed_index
-            cached = None if cache is None else cache.get(config, seed)
-            if cached is None:
+            if store is not None:
+                records[index] = store.lookup(config.canonical_dict(), seed)
+            if records[index] is None:
                 pending.append((index, config, seed))
-            else:
-                records[index] = cached
+
+    if store is not None and sweep_id is None:
+        sweep_id = store.record_sweep(
+            store_kind,
+            base.label(),
+            {
+                "points": [
+                    {
+                        key: value
+                        for key, value in config.canonical_dict().items()
+                        if key in point
+                    }
+                    for point, config in zip(overrides, configs)
+                ],
+                "seeds": list(seeds),
+                "tasks": len(records),
+                "executed": len(pending),
+                "jobs": jobs,
+            },
+        )
 
     emit = _OrderedEmitter(overrides, records, width, hook)
     emit.drain()
 
-    if pending:
-        if jobs == 1 or len(pending) == 1:
-            for index, config, seed in pending:
-                records[index] = execute_task(config, seed)
-                if cache is not None:
-                    cache.put(config, seed, records[index])
-                emit.drain()
-        else:
-            workers = min(jobs, len(pending))
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers
-            ) as pool:
-                futures = {
-                    pool.submit(execute_task, config, seed): (
-                        index,
-                        config,
-                        seed,
-                    )
-                    for index, config, seed in pending
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    index, config, seed = futures[future]
-                    records[index] = future.result()
-                    if cache is not None:
-                        cache.put(config, seed, records[index])
-                    emit.drain()
+    def finish(index: int, record: dict) -> None:
+        records[index] = record
+        if store is not None:
+            store.record_run(record, kind=store_kind, sweep_id=sweep_id)
+        emit.drain()
 
-    report = MatrixReport(
+    if jobs == 1 or len(pending) <= 1:
+        for index, config, seed in pending:
+            finish(index, execute_task(config, seed))
+    else:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(jobs, len(pending))
+        ) as pool:
+            futures = {
+                pool.submit(execute_task, config, seed): index
+                for index, config, seed in pending
+            }
+            for future in concurrent.futures.as_completed(futures):
+                finish(futures[future], future.result())
+
+    return MatrixReport(
         points=emit.points,
         records=typing.cast("list[dict]", records),
         seeds=seeds,
         executed=len(pending),
         jobs=jobs,
-        cache_stats=None if cache is None else cache.stats,
     )
-    if store is not None:
-        record_matrix_report(store, report, base, grid, kind=store_kind)
-    return report
-
-
-def matrix_meta(
-    report: MatrixReport, grid: dict[str, typing.Sequence]
-) -> dict:
-    """Execution metadata for one matrix run, including cache traffic.
-
-    This is what the JSONL/JSON exports carry in their ``.meta.json``
-    sidecar and what stored sweeps keep in ``meta_json``. It lives
-    *next to* the records, never inside them: cache statistics differ
-    between a cold and a warm run while the record lines must stay
-    byte-identical.
-    """
-    return {
-        "grid": {key: list(values) for key, values in sorted(grid.items())},
-        "seeds": list(report.seeds),
-        "tasks": report.tasks,
-        "executed": report.executed,
-        "jobs": report.jobs,
-        "cache": (
-            None
-            if report.cache_stats is None
-            else report.cache_stats.to_dict()
-        ),
-    }
-
-
-def record_matrix_report(
-    store: typing.Any,
-    report: MatrixReport,
-    base: ExperimentConfig,
-    grid: dict[str, typing.Sequence],
-    kind: str = "matrix",
-    label: str | None = None,
-) -> int:
-    """Record a finished matrix run into a results store as one sweep."""
-    sweep_id = store.record_sweep(
-        kind,
-        base.label() if label is None else label,
-        matrix_meta(report, grid),
-    )
-    for record in report.records:
-        store.record_run(record, kind=kind, sweep_id=sweep_id)
-    return int(sweep_id)
 
 
 class _OrderedEmitter:
@@ -260,21 +227,6 @@ class _OrderedEmitter:
             self.points.append(point)
             if self._hook is not None:
                 self._hook(point.overrides, point.results)
-
-
-def run_replicated_cached(
-    config: ExperimentConfig,
-    seeds: typing.Sequence[int] = (0, 1),
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> list:
-    """The paper's replicate-over-seeds protocol through the engine.
-
-    A one-point matrix: same results as
-    :func:`repro.core.runner.run_replicated`, plus the pool and cache.
-    """
-    report = run_matrix(config, {}, seeds=seeds, jobs=jobs, cache=cache)
-    return list(report.points[0].results)
 
 
 def format_matrix_table(

@@ -3,9 +3,10 @@
 A cached result is only as trustworthy as the code that produced it: any
 edit to the simulator can change the numbers. The fingerprint is a
 SHA-256 digest over every ``*.py`` source file of the installed
-``repro`` package (relative path + contents, in sorted path order), so
-the content-addressed cache key changes — and every stale entry stops
-matching — the moment any simulation code changes.
+``repro`` package (relative path + contents, in sorted path order).
+Every stored run is stamped with it and the result-cache lookup matches
+on it, so every stored result stops being served the moment any
+simulation code changes.
 """
 
 from __future__ import annotations

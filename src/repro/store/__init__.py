@@ -1,10 +1,11 @@
-"""repro.store — the SQLite results database and longitudinal tracking.
+"""repro.store — the SQLite results database: result cache and history.
 
-The observability layer that turns per-run telemetry into cross-PR
-telemetry: every run can be recorded (off by default, byte-identical
-exports when off) into one queryable file keyed by canonical-config
-hash + seed + code fingerprint + git revision + recording time. On top
-sit the query surfaces behind ``crayfish history`` / ``trend`` /
+The one place results persist: every run can be recorded (exports stay
+byte-identical either way) into one queryable file keyed by
+canonical-config hash + seed + code fingerprint + git revision +
+recording time. The matrix engine looks tasks up in it before running
+them, so the history doubles as the result cache. On top sit the query
+surfaces behind ``crayfish history`` / ``trend`` /
 ``regress`` / ``pareto``: filterable run history, per-metric
 trajectories across revisions, an automatic regression gate against the
 stored baseline, and the latency/throughput/cost Pareto frontier across

@@ -1,19 +1,21 @@
 """The SQLite-backed results database (``repro.store``).
 
-One file holds the repository's whole measurement history: every run —
-single ``crayfish run``, matrix sweep, capacity-search probe, chaos
-scenario, imported artifact — is a row keyed by the content address of
-its (canonical config, seed) experiment, stamped with the code
-fingerprint, the git revision, and the wall-clock recording time. The
-shape follows the suites/benchmarks/results, checksum-keyed layout of
-benchy's ``db.py``: ``sweeps`` group runs the way suites group
+One file holds the repository's measurement history and is its result
+cache: every run — single ``crayfish run``, matrix or sweep task,
+capacity-search probe, chaos scenario — is a row keyed by the content
+address of its (canonical config, seed) experiment, stamped with the
+code fingerprint, the git revision, and the wall-clock recording time.
+The shape follows the suites/benchmarks/results, checksum-keyed layout
+of benchy's ``db.py``: ``sweeps`` group runs the way suites group
 benchmarks, and ``slot_id`` is the checksum that makes the same
-experiment comparable across revisions.
+experiment comparable across revisions. A row whose slot and
+fingerprint match a pending task is that task's result, so
+:meth:`ResultStore.lookup` serves it instead of re-running.
 
-Recording is strictly off-by-default and happens *after* a simulation
-finishes: a store never touches the event loop, the RNG streams, or any
-export, so every artifact is byte-identical with recording on or off
-(``crayfish verify-order`` holds either way).
+Recording happens *after* a simulation finishes: a store never touches
+the event loop, the RNG streams, or any export, so every artifact is
+byte-identical with recording on or off (``crayfish verify-order``
+holds either way).
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from repro.store.migrations import (
     schema_version,
 )
 from repro.store.record import (
-    RunRow,
     canonical_json,
     record_from_row,
     run_row_from_record,
+    slot_id_of,
 )
 
 #: Default database location, relative to the working directory.
@@ -70,10 +72,10 @@ class ResultStore:
 
     ``fingerprint`` defaults to the digest of the installed ``repro``
     source tree; ``git_rev`` to the checked-out revision; ``clock`` to
-    wall time. All three are injectable so tests (and deterministic
-    importers) can pin them. Writes go through SQLite transactions, so a
-    killed process never leaves a torn row — at worst the last run is
-    simply absent and re-records on the next attempt.
+    wall time. All three are injectable so tests can pin them. Writes go
+    through SQLite transactions, so a killed process never leaves a torn
+    row — at worst the last run is simply absent and re-records on the
+    next attempt.
     """
 
     def __init__(
@@ -141,7 +143,7 @@ class ResultStore:
         return int(cursor.lastrowid)
 
     def update_sweep_meta(self, sweep_id: int, meta: dict) -> None:
-        """Replace a sweep's metadata (e.g. final cache statistics)."""
+        """Replace a sweep's metadata (e.g. a finished search's outcome)."""
         with self.conn:
             self.conn.execute(
                 "UPDATE sweeps SET meta_json = ? WHERE id = ?",
@@ -152,11 +154,9 @@ class ResultStore:
         self,
         record: dict,
         kind: str = "run",
-        source: str = "live",
         sweep_id: int | None = None,
         series: dict[str, dict] | None = None,
         label: str | None = None,
-        recorded_at: float | None = None,
     ) -> int:
         """Insert one full result record; returns the new run id.
 
@@ -169,37 +169,25 @@ class ResultStore:
         row = run_row_from_record(
             record,
             kind=kind,
-            source=source,
             fingerprint=self.fingerprint,
             git_rev=self.git_rev,
-            recorded_at=(
-                self.clock() if recorded_at is None else recorded_at
-            ),
+            recorded_at=self.clock(),
             label=label,
         )
-        return self._insert_row(row, sweep_id=sweep_id, series=series)
-
-    def _insert_row(
-        self,
-        row: RunRow,
-        sweep_id: int | None = None,
-        series: dict[str, dict] | None = None,
-    ) -> int:
         with self.conn:
             cursor = self.conn.execute(
-                "INSERT INTO runs(sweep_id, slot_id, kind, source, label,"
+                "INSERT INTO runs(sweep_id, slot_id, kind, label,"
                 " sps, serving, model, nodes, seed, fingerprint, git_rev,"
                 " recorded_at, throughput, latency_mean, latency_p50,"
                 " latency_p95, latency_p99, latency_p999, completed,"
                 " produced, duplicates, inference_requests, measure_start,"
                 " measure_end, cost_proxy, record_json) VALUES"
                 " (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?,"
-                " ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                " ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     sweep_id,
                     row.slot_id,
                     row.kind,
-                    row.source,
                     row.label,
                     row.sps,
                     row.serving,
@@ -256,7 +244,7 @@ class ResultStore:
 
         Serializes through the same
         :func:`~repro.core.results_io.result_record` round-trip the
-        matrix engine and cache use, and — when the run was metrics-on —
+        matrix engine uses, and — when the run was metrics-on —
         attaches the scraped series summaries.
         """
         from repro.core.results_io import result_record
@@ -272,26 +260,24 @@ class ResultStore:
             record, kind=kind, sweep_id=sweep_id, series=series, label=label
         )
 
-    def record_artifact(self, source: str, sha256: str, kind: str) -> bool:
-        """Register an imported artifact; False when already imported.
-
-        The (source, sha256) pair is unique, which is what makes
-        ``crayfish store import`` idempotent: re-importing an unchanged
-        file is a no-op, while an updated file imports again under its
-        new digest.
-        """
-        try:
-            with self.conn:
-                self.conn.execute(
-                    "INSERT INTO artifacts(source, sha256, kind,"
-                    " imported_at) VALUES (?, ?, ?, ?)",
-                    (source, sha256, kind, self.clock()),
-                )
-        except sqlite3.IntegrityError:
-            return False
-        return True
-
     # -- reading -----------------------------------------------------------
+
+    def lookup(self, config_dict: dict, seed: int) -> dict | None:
+        """The record this code already measured for (config, seed).
+
+        The result-cache lookup: the newest row in the experiment's slot
+        that carries the current code fingerprint, or None. Only
+        ``source = 'live'`` rows qualify — databases from older builds
+        may hold partial rows imported from committed files, which must
+        never be served as results.
+        """
+        row = self.conn.execute(
+            "SELECT record_json FROM runs WHERE slot_id = ?"
+            " AND fingerprint = ? AND source = 'live'"
+            " ORDER BY id DESC LIMIT 1",
+            (slot_id_of(config_dict, seed), self.fingerprint),
+        ).fetchone()
+        return None if row is None else record_from_row(row)
 
     def run(self, run_id: int) -> sqlite3.Row | None:
         return self.conn.execute(
@@ -330,7 +316,7 @@ class ResultStore:
                     f"SELECT COUNT(*) FROM {table}"  # noqa: S608 - fixed names
                 ).fetchone()[0]
             )
-            for table in ("runs", "sweeps", "series", "artifacts")
+            for table in ("runs", "sweeps", "series")
         }
 
 
@@ -340,8 +326,8 @@ def open_store(
 ) -> ResultStore | None:
     """A :class:`ResultStore` for ``path``, or None when path is falsy.
 
-    The CLI convention: ``--store`` unset means recording stays off and
-    the run is bit-for-bit identical to a build without this subsystem.
+    ``crayfish run`` with neither ``--store`` nor ``$CRAYFISH_STORE``
+    records nothing; its run is bit-for-bit identical either way.
     """
     if not path:
         return None

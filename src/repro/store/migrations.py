@@ -15,7 +15,7 @@ from __future__ import annotations
 import sqlite3
 
 #: Current schema version — the version a freshly opened store has.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: migration index i upgrades a version-i database to version i+1.
 MIGRATIONS: tuple[tuple[str, ...], ...] = (
@@ -93,6 +93,8 @@ MIGRATIONS: tuple[tuple[str, ...], ...] = (
         )
         """,
     ),
+    # -- v2 -> v3: committed files are no longer imported ----------------
+    ("DROP TABLE IF EXISTS artifacts",),
 )
 
 assert len(MIGRATIONS) == SCHEMA_VERSION

@@ -1,8 +1,8 @@
 """Turning run results into database rows (and back).
 
 The store persists the *full* result record (the same dict the matrix
-engine and content-addressed cache round-trip through
-:mod:`repro.core.results_io`) as canonical JSON, plus a denormalized set
+engine round-trips through :mod:`repro.core.results_io`, and replays
+from the store on a cache hit) as canonical JSON, plus a denormalized set
 of aggregate columns for querying. :func:`run_row_from_record` computes
 those columns; :func:`record_from_row` recovers the exact record — the
 store→load round-trip is lossless by construction because the columns
@@ -28,11 +28,11 @@ def canonical_json(value: typing.Any) -> str:
 def slot_id_of(config_dict: dict, seed: int | None) -> str:
     """Content address of one (canonical config, run seed) experiment.
 
-    Matches :meth:`repro.matrix.cache.ResultCache.slot_id`: the run seed
-    substitutes the config's own ``seed`` field, so a stored run and a
-    cache slot for the same experiment share an identity — ``crayfish
-    regress`` can find the baseline for exactly the experiment it just
-    ran.
+    The only place a slot is computed. The run seed substitutes the
+    config's own ``seed`` field (``ExperimentRunner.run(seed=...)``
+    overrides it), so two configs differing only in that field describe
+    the same run and share a slot. The result-cache lookup and
+    ``crayfish regress`` both find exactly the experiment at hand by it.
     """
     canonical = dict(config_dict)
     if seed is not None:
@@ -44,8 +44,7 @@ def parse_label(label: str) -> tuple[str, str, str, int]:
     """Split a config label into (sps, serving, model, nodes).
 
     Inverse of :meth:`repro.config.ExperimentConfig.label`, accepting
-    the ``-gpu`` serving suffix and the ``@Nn`` cluster suffix. Used by
-    importers that only have the human-readable label.
+    the ``-gpu`` serving suffix and the ``@Nn`` cluster suffix.
     """
     nodes = 1
     body = label
@@ -137,7 +136,6 @@ class RunRow:
 
     slot_id: str
     kind: str
-    source: str
     label: str
     sps: str
     serving: str
@@ -166,7 +164,6 @@ class RunRow:
 def run_row_from_record(
     record: dict,
     kind: str = "run",
-    source: str = "live",
     fingerprint: str = "",
     git_rev: str | None = None,
     recorded_at: float = 0.0,
@@ -192,7 +189,6 @@ def run_row_from_record(
     return RunRow(
         slot_id=slot_id_of(config, seed),
         kind=kind,
-        source=source,
         label=label,
         sps=config["sps"],
         serving=config["serving"],

@@ -1,6 +1,8 @@
 """Capacity-search driver: SLO predicate, bisection, and the curve."""
 
+import json
 import math
+import types
 
 import pytest
 
@@ -70,20 +72,26 @@ def test_slo_policy_predicate():
 # -- search (with a fake simulator: capacity cliff at a known rate) ------
 
 
-def _fake_runner(cliff):
-    """run_replicated stand-in: sustains below ``cliff``, collapses above."""
+def _report(result):
+    """The slice of a one-point MatrixReport the search reads."""
+    point = types.SimpleNamespace(results=(result,))
+    return types.SimpleNamespace(points=[point], executed=1)
 
-    def run(config, seeds=(0,), jobs=1, cache=None):
+
+def _fake_runner(cliff):
+    """run_matrix stand-in: sustains below ``cliff``, collapses above."""
+
+    def run(config, grid, **kwargs):
         rate = config.ir if config.ir is not None else config.population.mean_rate
         if rate <= cliff:
-            return [_FakeResult(throughput=rate, p95=0.05)]
-        return [_FakeResult(throughput=cliff * 0.5, p95=2.0)]
+            return _report(_FakeResult(throughput=rate, p95=0.05))
+        return _report(_FakeResult(throughput=cliff * 0.5, p95=2.0))
 
     return run
 
 
 def test_search_brackets_the_cliff(monkeypatch):
-    monkeypatch.setattr(capacity_mod, "run_replicated", _fake_runner(1000.0))
+    monkeypatch.setattr(capacity_mod, "run_matrix", _fake_runner(1000.0))
     result = search_capacity(
         _config(), seeds=(0,), start_rate=100.0, tolerance=0.05
     )
@@ -97,7 +105,7 @@ def test_search_brackets_the_cliff(monkeypatch):
 
 
 def test_search_handles_failing_first_probe(monkeypatch):
-    monkeypatch.setattr(capacity_mod, "run_replicated", _fake_runner(10.0))
+    monkeypatch.setattr(capacity_mod, "run_matrix", _fake_runner(10.0))
     result = search_capacity(
         _config(), seeds=(0,), start_rate=1000.0, tolerance=0.1, max_probes=16
     )
@@ -106,15 +114,16 @@ def test_search_handles_failing_first_probe(monkeypatch):
 
 
 def test_search_respects_probe_budget(monkeypatch):
-    monkeypatch.setattr(capacity_mod, "run_replicated", _fake_runner(1e9))
+    monkeypatch.setattr(capacity_mod, "run_matrix", _fake_runner(1e9))
     result = search_capacity(
         _config(), seeds=(0,), start_rate=1.0, max_probes=5
     )
     assert len(result.probes) == 5
+    assert result.executed == 5
 
 
 def test_search_hook_sees_every_probe(monkeypatch):
-    monkeypatch.setattr(capacity_mod, "run_replicated", _fake_runner(500.0))
+    monkeypatch.setattr(capacity_mod, "run_matrix", _fake_runner(500.0))
     seen = []
     result = search_capacity(
         _config(), seeds=(0,), start_rate=100.0, hook=seen.append
@@ -137,15 +146,15 @@ def test_search_validates_arguments():
 def test_capacity_curve_reshapes_cluster(monkeypatch):
     probed_nodes = []
 
-    def fake_run(config, seeds=(0,), jobs=1, cache=None):
+    def fake_run(config, grid, **kwargs):
         probed_nodes.append(config.cluster.nodes)
         cliff = 100.0 * config.cluster.nodes
         rate = config.ir
         if rate <= cliff:
-            return [_FakeResult(throughput=rate, p95=0.05)]
-        return [_FakeResult(throughput=cliff, p95=2.0)]
+            return _report(_FakeResult(throughput=rate, p95=0.05))
+        return _report(_FakeResult(throughput=cliff, p95=2.0))
 
-    monkeypatch.setattr(capacity_mod, "run_replicated", fake_run)
+    monkeypatch.setattr(capacity_mod, "run_matrix", fake_run)
     sizes = []
     curve = capacity_curve(
         _config(cluster=ClusterSpec(nodes=1, racks=1)),
@@ -194,3 +203,29 @@ def test_real_search_finds_nonzero_capacity():
     )
     assert result.capacity > 0.0
     assert result.probes[0].sustained
+
+
+def test_repeated_search_replays_every_probe_from_the_store(tmp_path):
+    from repro.store import ResultStore
+
+    search = dict(
+        slo=SloPolicy(p95_latency=0.5),
+        seeds=(0,),
+        start_rate=200.0,
+        tolerance=0.5,
+        max_probes=3,
+    )
+    with ResultStore(tmp_path / "store.sqlite", git_rev=None) as store:
+        first = search_capacity(_config(duration=0.5), store=store, **search)
+        again = search_capacity(_config(duration=0.5), store=store, **search)
+        sweeps = store.conn.execute(
+            "SELECT kind, meta_json, (SELECT COUNT(*) FROM runs"
+            " WHERE runs.sweep_id = sweeps.id) FROM sweeps ORDER BY id"
+        ).fetchall()
+    assert first.executed == len(first.probes)
+    assert again.executed == 0
+    assert (again.capacity, again.probes) == (first.capacity, first.probes)
+    # One capacity sweep per search; only the first one ran anything.
+    assert [row[0] for row in sweeps] == ["capacity", "capacity"]
+    assert [row[2] for row in sweeps] == [len(first.probes), 0]
+    assert json.loads(sweeps[1][1])["capacity"] == first.capacity

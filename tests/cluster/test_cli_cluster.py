@@ -56,29 +56,36 @@ def test_cluster_run_friendly_config_error(capsys):
     assert "partitions" in capsys.readouterr().err
 
 
-def test_cluster_capacity_search_command(capsys):
-    code = main(
-        [
-            "cluster", "capacity-search",
-            "--node-counts", "1,2", "--mp", "1",
-            "--duration", "0.5", "--seeds", "0",
-            "--start-rate", "200", "--tolerance", "0.4",
-            "--max-probes", "5", "--slo-p95", "0.5",
-            "--no-cache", "--verbose",
-        ]
-    )
+def test_cluster_capacity_search_command(tmp_path, capsys):
+    argv = [
+        "cluster", "capacity-search",
+        "--node-counts", "1,2", "--mp", "1",
+        "--duration", "0.5", "--seeds", "0",
+        "--start-rate", "200", "--tolerance", "0.4",
+        "--max-probes", "5", "--slo-p95", "0.5",
+        "--store", str(tmp_path / "store.sqlite"), "--verbose",
+    ]
+    code = main(argv)
     out = capsys.readouterr().out
     assert code == 0
     assert "sustainable" in out
     assert "probe" in out
     assert "monotonically" in out
+    probes = int(out.split("tasks: ")[1].split(" total")[0])
+    assert f"{probes} executed, 0 from cache" in out
+
+    # A repeated search replays every probe and prints the same table.
+    assert main(argv) == 0
+    again = capsys.readouterr().out
+    assert f"0 executed, {probes} from cache" in again
+    assert again.split("tasks:")[0] == out.split("tasks:")[0]
 
 
-def test_matrix_accepts_scaleout_preset(capsys):
+def test_matrix_accepts_scaleout_preset(tmp_path, capsys):
     code = main(
         [
             "matrix", "--preset", "scaleout", "--duration", "0.25",
-            "--seeds", "0", "--no-cache",
+            "--seeds", "0", "--store", str(tmp_path / "store.sqlite"),
         ]
     )
     assert code == 0

@@ -48,7 +48,7 @@ def _run_record(record: dict, seed: int) -> dict:
 
 def measure() -> dict:
     base, grid = _spec()
-    report = run_matrix(base, grid, seeds=SEEDS, jobs=1, cache=None)
+    report = run_matrix(base, grid, seeds=SEEDS, jobs=1)
     points = []
     for index, point in enumerate(report.points):
         runs = [

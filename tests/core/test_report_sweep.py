@@ -71,7 +71,7 @@ def test_validate_override_fields_lists_every_offender():
 
 
 def test_sweep_parallel_and_cached_match_serial(tmp_path):
-    from repro.matrix import ResultCache
+    from repro.store import ResultStore
 
     base = ExperimentConfig(
         sps="flink", serving="onnx", model="ffnn", ir=50.0, duration=0.5
@@ -79,12 +79,10 @@ def test_sweep_parallel_and_cached_match_serial(tmp_path):
     grid = {"mp": [1, 2]}
     serial = sweep(base, grid, seeds=(0,))
     parallel = sweep(base, grid, seeds=(0,), jobs=2)
-    cached = sweep(
-        base, grid, seeds=(0,), cache=ResultCache(tmp_path / "cache")
-    )
-    replayed = sweep(
-        base, grid, seeds=(0,), cache=ResultCache(tmp_path / "cache")
-    )
+    with ResultStore(tmp_path / "store.sqlite", git_rev=None) as store:
+        cached = sweep(base, grid, seeds=(0,), store=store)
+        replayed = sweep(base, grid, seeds=(0,), store=store)
+        assert store.counts()["runs"] == 2  # the replay recorded nothing
     for other in (parallel, cached, replayed):
         assert [p.overrides for p in other] == [p.overrides for p in serial]
         assert [p.results for p in other] == [p.results for p in serial]

@@ -1,9 +1,10 @@
-"""Property tests for the content-addressed cache key.
+"""Property tests for the result-cache key: slot plus code fingerprint.
 
-The key must collide exactly when it should: canonically-equal
-(config, seed) pairs share a key; any single field change, seed change,
-or code-fingerprint change produces a different key (and a fingerprint
-change invalidates stored entries rather than serving them).
+The store serves a cached run by (``slot_id_of`` slot, code
+fingerprint). The key must collide exactly when it should:
+canonically-equal (config, seed) pairs share a slot; any single field
+change or seed change moves the slot; and a code-fingerprint change
+misses — the stored row is not served and the task re-runs.
 """
 
 import dataclasses
@@ -14,14 +15,32 @@ from hypothesis import strategies as st
 
 from repro.config import ExperimentConfig, config_from_dict
 from repro.errors import ConfigError
-from repro.matrix.cache import ResultCache
+from repro.matrix import run_matrix
+from repro.store import ResultStore, slot_id_of
 
 FINGERPRINT = "test-fingerprint"
 
+TINY = ExperimentConfig(
+    sps="flink", serving="onnx", model="ffnn", ir=50.0, duration=0.5
+)
 
-def key_of(config, seed, fingerprint=FINGERPRINT):
-    # The cache never touches disk for keying, so a dummy root is fine.
-    return ResultCache("unused-cache-root", fingerprint).key(config, seed)
+
+def key_of(config, seed):
+    return slot_id_of(config.canonical_dict(), seed)
+
+
+def memory_store(fingerprint=FINGERPRINT):
+    return ResultStore(":memory:", fingerprint=fingerprint, git_rev=None)
+
+
+def record_of(config, seed):
+    """A minimal stored record for (config, seed)."""
+    return {
+        "config": config.canonical_dict(),
+        "seed": seed,
+        "throughput": 1.0,
+        "latency": {},
+    }
 
 
 #: Field menu for single-field mutations: always-valid distinct values.
@@ -57,6 +76,10 @@ def test_equal_configs_collide(config, seed):
     clone = config.replace()
     assert clone == config
     assert key_of(clone, seed) == key_of(config, seed)
+    with memory_store() as store:
+        record = record_of(config, seed)
+        store.record_run(record)
+        assert store.lookup(clone.canonical_dict(), seed) == record
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,6 +114,9 @@ def test_any_single_field_change_changes_key(field, data, seed):
     first = base.replace(**{field: values[0]})
     second = base.replace(**{field: values[1]})
     assert key_of(first, seed) != key_of(second, seed)
+    with memory_store() as store:
+        store.record_run(record_of(first, seed))
+        assert store.lookup(second.canonical_dict(), seed) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,12 +128,19 @@ def test_any_single_field_change_changes_key(field, data, seed):
 )
 def test_seed_change_changes_key(config, seeds):
     assert key_of(config, seeds[0]) != key_of(config, seeds[1])
+    with memory_store() as store:
+        store.record_run(record_of(config, seeds[0]))
+        assert store.lookup(config.canonical_dict(), seeds[1]) is None
 
 
 @settings(max_examples=40, deadline=None)
 @given(config=config_strategy, seed=st.integers(0, 1000))
 def test_fingerprint_change_changes_key(config, seed):
-    assert key_of(config, seed, "fp-a") != key_of(config, seed, "fp-b")
+    with memory_store("fp-a") as store:
+        store.record_run(record_of(config, seed))
+        assert store.lookup(config.canonical_dict(), seed) is not None
+        store.fingerprint = "fp-b"  # the same database under changed code
+        assert store.lookup(config.canonical_dict(), seed) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -126,33 +159,40 @@ def test_sequence_type_is_canonicalized():
 
 
 def test_fingerprint_change_invalidates_stored_entries(tmp_path):
-    config = ExperimentConfig()
-    record = {"throughput": 1.0}
-    before = ResultCache(tmp_path, fingerprint="fp-a")
-    before.put(config, 0, record)
-    assert before.get(config, 0) == record
-    assert before.stats.hits == 1
+    """New code misses on old rows, re-runs, then hits its own row."""
+    path = tmp_path / "store.sqlite"
+    with ResultStore(path, fingerprint="fp-a", git_rev=None) as before:
+        cold = run_matrix(TINY, {}, seeds=(0,), store=before)
+        assert cold.executed == 1
+        assert run_matrix(TINY, {}, seeds=(0,), store=before).executed == 0
 
-    after = ResultCache(tmp_path, fingerprint="fp-b")
-    assert after.get(config, 0) is None
-    assert after.stats.invalidations == 1
-    assert after.stats.misses == 0
-
-    # Re-running under the new fingerprint overwrites the stale slot.
-    after.put(config, 0, record)
-    assert after.get(config, 0) == record
-    assert len(after) == 1
+    with ResultStore(path, fingerprint="fp-b", git_rev=None) as after:
+        rerun = run_matrix(TINY, {}, seeds=(0,), store=after)
+        assert rerun.executed == 1
+        assert rerun.records == cold.records
+        assert run_matrix(TINY, {}, seeds=(0,), store=after).executed == 0
+        assert after.counts()["runs"] == 2  # one row per fingerprint
 
 
-def test_corrupt_slot_counts_as_invalidation(tmp_path):
-    config = ExperimentConfig()
-    cache = ResultCache(tmp_path, fingerprint="fp")
-    cache.put(config, 0, {"throughput": 1.0})
-    [slot] = cache.entries()
-    slot.write_text("{truncated")
-    fresh = ResultCache(tmp_path, fingerprint="fp")
-    assert fresh.get(config, 0) is None
-    assert fresh.stats.invalidations == 1
+def test_imported_rows_are_never_served(tmp_path):
+    """Older builds imported partial rows from committed files; even at
+    the current slot and fingerprint they never count as a hit."""
+    with ResultStore(
+        tmp_path / "store.sqlite", fingerprint=FINGERPRINT, git_rev=None
+    ) as store:
+        partial = record_of(TINY, 0)
+        run_id = store.record_run(partial)
+        with store.conn:
+            store.conn.execute(
+                "UPDATE runs SET source = 'import:bench_metrics'"
+                " WHERE id = ?",
+                (run_id,),
+            )
+        assert store.lookup(TINY.canonical_dict(), 0) is None
+        report = run_matrix(TINY, {}, seeds=(0,), store=store)
+        assert report.executed == 1
+        assert report.records[0] != partial
+        assert store.lookup(TINY.canonical_dict(), 0) == report.records[0]
 
 
 def test_config_from_dict_rejects_unknown_fields():

@@ -8,14 +8,8 @@ from repro.config import ExperimentConfig
 from repro.core.results_io import result_from_record, result_record
 from repro.core.runner import run_experiment, run_replicated
 from repro.errors import ConfigError
-from repro.matrix import (
-    ResultCache,
-    grid_points,
-    preset,
-    preset_names,
-    run_matrix,
-    run_replicated_cached,
-)
+from repro.matrix import grid_points, preset, preset_names, run_matrix
+from repro.store import ResultStore
 
 TINY = ExperimentConfig(
     sps="flink", serving="onnx", model="ffnn", ir=50.0, duration=0.5
@@ -56,18 +50,27 @@ def test_empty_grid_is_single_point():
     assert report.executed == 1
 
 
-def test_run_replicated_cached_matches_plain_runner():
+def _store(tmp_path):
+    return ResultStore(
+        tmp_path / "store.sqlite", fingerprint="test-fingerprint", git_rev=None
+    )
+
+
+def test_run_replicated_cached_matches_plain_runner(tmp_path):
     plain = run_replicated(TINY, seeds=(0, 1))
-    engine = run_replicated_cached(TINY, seeds=(0, 1))
+    with _store(tmp_path) as store:
+        engine = run_replicated(TINY, seeds=(0, 1), jobs=2, store=store)
+        cached = run_replicated(TINY, seeds=(0, 1), store=store)
     assert engine == plain
+    assert cached == plain
 
 
 def test_run_replicated_with_cache_delegates(tmp_path):
-    cache = ResultCache(tmp_path)
-    first = run_replicated(TINY, seeds=(0,), cache=cache)
-    again = run_replicated(TINY, seeds=(0,), cache=ResultCache(tmp_path))
+    with _store(tmp_path) as store:
+        first = run_replicated(TINY, seeds=(0,), store=store)
+        again = run_replicated(TINY, seeds=(0,), store=store)
+        assert store.counts()["runs"] == 1
     assert first == again
-    assert cache.stats.stores == 1
 
 
 def test_result_record_round_trip_is_lossless():
@@ -130,10 +133,9 @@ def test_cache_roundtrip_survives_fault_config(tmp_path):
         ),
         resilience=ResiliencePolicy(retries=2),
     )
-    cold = run_matrix(config, {}, seeds=(0,), cache=ResultCache(tmp_path))
-    warm = run_matrix(
-        config, {}, seeds=(0,), cache=ResultCache(tmp_path)
-    )
+    with _store(tmp_path) as store:
+        cold = run_matrix(config, {}, seeds=(0,), store=store)
+        warm = run_matrix(config, {}, seeds=(0,), store=store)
     assert warm.executed == 0
     assert warm.records == cold.records
     replayed = warm.points[0].results[0]

@@ -47,7 +47,7 @@ def _run_record(record: dict, seed: int) -> dict:
 
 
 def measure() -> dict:
-    report = run_matrix(BASE, GRID, seeds=SEEDS, jobs=1, cache=None)
+    report = run_matrix(BASE, GRID, seeds=SEEDS, jobs=1)
     points = []
     for index, point in enumerate(report.points):
         runs = [

@@ -1,10 +1,10 @@
 """End-to-end CLI coverage: recording flags, query commands, the CI gate."""
 
 import json
+import sqlite3
 
 import pytest
 
-from repro.core.results_io import load_run_meta, meta_sidecar_path
 from repro.cli import main
 
 
@@ -129,49 +129,32 @@ def test_trend_and_pareto_render_after_two_recordings(tmp_path, capsys):
     assert points[0]["on_frontier"] is True
 
 
-def test_store_import_cli(tmp_path, capsys):
-    db = tmp_path / "imported.sqlite"
-    root = tmp_path / "repo"
-    root.mkdir()
-    (root / "BENCH_metrics.json").write_text(json.dumps({
-        "flink/onnx/ffnn": {
-            "throughput": 100.0, "latency_mean": 0.01,
-            "latency_p95": 0.02, "completed": 50, "series": {},
-        },
-    }))
-    assert main([
-        "store", "import", "--db", str(db), "--root", str(root),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "1 run(s)" in out
-
-    assert main(["history", "--db", str(db), "--json"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert rows[0]["source"] == "import:bench_metrics"
-
-
-def test_matrix_store_records_sweep_and_writes_cache_sidecar(
-    tmp_path, capsys
-):
+def test_matrix_store_records_sweep_meta(tmp_path, capsys):
     db = tmp_path / "matrix.sqlite"
     jsonl = tmp_path / "matrix.jsonl"
-    assert main([
+    argv = [
         "matrix", "--preset", "smoke", "--duration", "0.25", "--seeds", "0",
-        "--cache-dir", str(tmp_path / "cache"),
         "--store", str(db), "--jsonl", str(jsonl),
-    ]) == 0
+    ]
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert f"recorded matrix into {db}" in out
+    assert f"recorded 2 new run(s) into {db}" in out
+    assert main(argv) == 0
+    assert f"recorded 0 new run(s) into {db}" in capsys.readouterr().out
 
-    # Cache statistics live in the sidecar, never in the JSONL itself.
-    meta = load_run_meta(str(jsonl))
-    assert meta["cache"] is not None
-    assert set(meta["cache"]) == {
-        "hits", "misses", "invalidations", "stores", "lookups",
-    }
+    # Execution metadata lives with the sweep rows, never in the JSONL.
+    with sqlite3.connect(db) as conn:
+        metas = [
+            json.loads(row[0])
+            for row in conn.execute("SELECT meta_json FROM sweeps ORDER BY id")
+        ]
+    assert [(m["tasks"], m["executed"], m["jobs"]) for m in metas] == [
+        (2, 2, 1), (2, 0, 1),
+    ]
+    assert metas[0]["points"] == [{"sps": "flink"}, {"sps": "kafka_streams"}]
     first_line = jsonl.read_text().splitlines()[0]
-    assert "cache" not in json.loads(first_line)
-    assert str(meta_sidecar_path(str(jsonl))).endswith("matrix.meta.json")
+    assert "executed" not in json.loads(first_line)
+    assert not (tmp_path / "matrix.meta.json").exists()
 
     assert main(["history", "--db", str(db), "--kind", "matrix"]) == 0
     assert "matrix" in capsys.readouterr().out

@@ -18,7 +18,8 @@ def test_fresh_store_lands_on_current_schema(store):
             "SELECT name FROM sqlite_master WHERE type = 'table'"
         )
     }
-    assert {"runs", "sweeps", "series", "artifacts"} <= tables
+    assert {"runs", "sweeps", "series"} <= tables
+    assert "artifacts" not in tables  # v3 dropped the import registry
 
 
 def test_reopening_is_a_noop(tmp_path):
@@ -31,7 +32,8 @@ def test_reopening_is_a_noop(tmp_path):
 
 
 def test_old_version_database_upgrades_in_place(tmp_path):
-    """A v1 database (older build) upgrades to v2 on open, keeping rows."""
+    """A v1 database (older build) upgrades to current on open, keeping
+    rows."""
     path = tmp_path / "old.sqlite"
     conn = sqlite3.connect(path)
     assert apply_migrations(conn, upto=1) == 1
@@ -54,6 +56,36 @@ def test_old_version_database_upgrades_in_place(tmp_path):
     with ResultStore(path, fingerprint=FINGERPRINT, git_rev=None) as store:
         assert store.schema_version == SCHEMA_VERSION
         assert store.counts()["runs"] == 1
+
+
+def test_v2_database_drops_the_import_registry(tmp_path):
+    """v3 drops the artifacts table; imported run rows stay as history."""
+    path = tmp_path / "v2.sqlite"
+    conn = sqlite3.connect(path)
+    apply_migrations(conn, upto=2)
+    conn.execute(
+        "INSERT INTO artifacts(source, sha256, kind, imported_at)"
+        " VALUES ('BENCH_metrics.json', 'digest', 'bench', 1.0)"
+    )
+    conn.execute(
+        "INSERT INTO runs(slot_id, kind, source, label, sps, serving, model,"
+        " seed, fingerprint, recorded_at, record_json) VALUES ('s', 'bench',"
+        " 'import:bench_metrics', 'l', 'flink', 'onnx', 'ffnn', 0, 'f', 1.0,"
+        " '{}')"
+    )
+    conn.commit()
+    conn.close()
+
+    with ResultStore(path, fingerprint=FINGERPRINT, git_rev=None) as store:
+        assert store.schema_version == SCHEMA_VERSION == 3
+        assert store.counts() == {"runs": 1, "sweeps": 0, "series": 0}
+        tables = {
+            row[0]
+            for row in store.conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        assert "artifacts" not in tables
 
 
 def test_newer_database_is_refused(tmp_path):
@@ -116,14 +148,6 @@ def test_sweep_grouping_and_meta_update(store):
         "SELECT COUNT(*) FROM runs WHERE sweep_id = ?", (sweep_id,)
     ).fetchone()[0]
     assert members == 2
-
-
-def test_artifact_registration_is_idempotent(store):
-    assert store.record_artifact("a.json", "digest1", "bench") is True
-    assert store.record_artifact("a.json", "digest1", "bench") is False
-    # Same path with new content imports again under the new digest.
-    assert store.record_artifact("a.json", "digest2", "bench") is True
-    assert store.counts()["artifacts"] == 2
 
 
 def test_open_store_none_for_falsy_path(tmp_path):

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.config import SPS_NAMES
 from repro.cli import main
+from repro.config import SPS_NAMES
+from repro.core.results_io import save_records_jsonl
+from repro.matrix import preset, run_matrix
 
 
 @pytest.fixture(autouse=True)
@@ -27,17 +29,18 @@ def test_run_export_identical_with_recording_on_and_off(
 
 
 def test_matrix_jsonl_identical_with_recording_on_and_off(tmp_path, capsys):
+    """The CLI always runs a matrix against a store; its export equals the
+    engine's with no store at all, cold and warm."""
+    spec = preset("smoke")
+    off = tmp_path / "off.jsonl"
+    report = run_matrix(spec.base.replace(duration=0.25), spec.grid, seeds=(0,))
+    save_records_jsonl(report.records, str(off))
     base = [
         "matrix", "--preset", "smoke", "--duration", "0.25", "--seeds", "0",
-        "--no-cache",
+        "--store", str(tmp_path / "db.sqlite"),
     ]
-    off = tmp_path / "off.jsonl"
-    on = tmp_path / "on.jsonl"
-    assert main(base + ["--jsonl", str(off)]) == 0
-    assert main(base + [
-        "--jsonl", str(on), "--store", str(tmp_path / "db.sqlite"),
-    ]) == 0
+    for tag in ("cold", "warm"):
+        on = tmp_path / f"{tag}.jsonl"
+        assert main(base + ["--jsonl", str(on)]) == 0
+        assert off.read_bytes() == on.read_bytes()
     capsys.readouterr()
-    # The record lines are byte-identical; execution metadata lives in
-    # the .meta.json sidecar, never in the JSONL itself.
-    assert off.read_bytes() == on.read_bytes()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import repro.config
 from repro.config import EMBEDDED_TOOLS, ExperimentConfig
-from repro.matrix.cache import ResultCache
 from repro.store.record import (
     cost_proxy,
     parse_label,
@@ -61,12 +60,24 @@ def test_store_load_round_trip_is_canonical_equal(
 
 
 @settings(max_examples=40, deadline=None)
-@given(config=configs, seed=st.integers(min_value=0, max_value=2**16))
-def test_slot_id_matches_result_cache_identity(tmp_path_factory, config, seed):
-    cache = ResultCache(tmp_path_factory.mktemp("cache"), fingerprint="f")
-    assert slot_id_of(config.canonical_dict(), seed) == cache.slot_id(
-        config, seed
-    )
+@given(
+    config=configs,
+    seed=st.integers(min_value=0, max_value=2**16),
+    config_seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_slot_id_matches_result_cache_identity(
+    store_factory, config, seed, config_seed
+):
+    """A recorded run lands in the slot the result-cache lookup keys on,
+    whatever the config's own seed field says."""
+    record = make_record(config=config, seed=seed)
+    with store_factory() as store:
+        run_id = store.record_run(record)
+        assert store.run(run_id)["slot_id"] == slot_id_of(
+            config.canonical_dict(), seed
+        )
+        twin = config.replace(seed=config_seed).canonical_dict()
+        assert store.lookup(twin, seed) == record
 
 
 @settings(max_examples=60, deadline=None)

@@ -42,12 +42,12 @@ def test_bursts_command(capsys):
     assert "burst 1" in out
 
 
-def test_sweep_command(capsys):
+def test_sweep_command(tmp_path, capsys):
     code = main(
         [
             "sweep", "--sps", "flink", "--serving", "onnx",
             "--duration", "1", "--field", "mp", "--values", "1,2",
-            "--no-cache",
+            "--store", str(tmp_path / "store.sqlite"),
         ]
     )
     assert code == 0
@@ -56,11 +56,11 @@ def test_sweep_command(capsys):
     assert "events/s" in out
 
 
-def test_sweep_command_unknown_field_is_friendly(capsys):
+def test_sweep_command_unknown_field_is_friendly(tmp_path, capsys):
     code = main(
         [
             "sweep", "--duration", "1", "--field", "batch_size",
-            "--values", "1,2", "--no-cache",
+            "--values", "1,2", "--store", str(tmp_path / "store.sqlite"),
         ]
     )
     assert code == 2
@@ -71,16 +71,16 @@ def test_sweep_command_unknown_field_is_friendly(capsys):
 def test_sweep_command_uses_cache(tmp_path, capsys):
     argv = [
         "sweep", "--duration", "1", "--field", "mp", "--values", "1,2",
-        "--cache-dir", str(tmp_path / "cache"),
+        "--store", str(tmp_path / "store.sqlite"),
     ]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    assert "4 store(s)" in first
+    assert "4 executed, 0 from cache" in first
     assert main(argv) == 0
     second = capsys.readouterr().out
-    assert "4 hit(s)" in second
+    assert "0 executed, 4 from cache" in second
     # The tables themselves are identical, cached or not.
-    assert first.split("cache")[0] == second.split("cache")[0]
+    assert first.split("tasks:")[0] == second.split("tasks:")[0]
 
 
 def test_matrix_command_list(capsys):
@@ -91,20 +91,20 @@ def test_matrix_command_list(capsys):
 
 
 def test_matrix_command_smoke_cold_then_cached(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
+    store = str(tmp_path / "store.sqlite")
     jsonl_a = str(tmp_path / "a.jsonl")
     jsonl_b = str(tmp_path / "b.jsonl")
-    argv = ["matrix", "--preset", "smoke", "--jobs", "2", "--cache-dir", cache_dir]
+    argv = ["matrix", "--preset", "smoke", "--jobs", "2", "--store", store]
 
     assert main(argv + ["--jsonl", jsonl_a]) == 0
     cold = capsys.readouterr().out
     assert "2 executed, 0 from cache" in cold
-    assert "2 miss(es)" in cold
+    assert "recorded 2 new run(s)" in cold
 
     assert main(argv + ["--jsonl", jsonl_b]) == 0
     warm = capsys.readouterr().out
     assert "0 executed, 2 from cache" in warm
-    assert "2 hit(s)" in warm
+    assert "recorded 0 new run(s)" in warm
 
     with open(jsonl_a, "rb") as a, open(jsonl_b, "rb") as b:
         assert a.read() == b.read()
@@ -115,7 +115,8 @@ def test_matrix_command_exports(tmp_path, capsys):
     csv_path = str(tmp_path / "out.csv")
     code = main(
         [
-            "matrix", "--preset", "smoke", "--no-cache",
+            "matrix", "--preset", "smoke",
+            "--store", str(tmp_path / "store.sqlite"),
             "--duration", "0.5", "--json", json_path, "--csv", csv_path,
         ]
     )
@@ -281,6 +282,14 @@ def _exit_code(argv):
         ),
         (["sweep", "--values", "1,x"], "--values: wants INT[,INT...], got '1,x'"),
         (["matrix", "--seeds", "0,x"], "--seeds: wants SEED[,SEED...], got '0,x'"),
+        (
+            ["regress", "--threshold", "throughput=x"],
+            "--threshold: wants METRIC=FRACTION, got 'throughput=x'",
+        ),
+        (
+            ["verify-order", "--permutations", "-1"],
+            "--permutations: wants an integer >= 0, got '-1'",
+        ),
     ],
 )
 def test_bad_input_exits_two_with_message(argv, message, capsys):

@@ -38,7 +38,6 @@ PUBLIC_MODULES = [
     "repro.core.sweep",
     "repro.matrix",
     "repro.matrix.engine",
-    "repro.matrix.cache",
     "repro.matrix.fingerprint",
     "repro.matrix.presets",
     "repro.store",
@@ -47,7 +46,6 @@ PUBLIC_MODULES = [
     "repro.store.record",
     "repro.store.queries",
     "repro.store.report",
-    "repro.store.importers",
     "repro.core.scenarios",
     "repro.core.analyzer",
     "repro.core.dataset",
