@@ -52,7 +52,7 @@ def _add_sut_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bsz", type=int, default=1, help="points per event")
     parser.add_argument("--mp", type=int, default=1, help="inference workers")
     parser.add_argument("--gpu", action="store_true", help="enable the GPU model")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.add_argument("--duration", type=float, default=5.0, help="simulated seconds")
     parser.add_argument(
         "--async-io", type=int, default=0, dest="async_io",
@@ -102,7 +102,7 @@ def _separated(
         try:
             if arity is None or len(parts) == arity:
                 return tuple(cast(part) for part in parts)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             pass
         raise argparse.ArgumentTypeError(f"wants {spec}, got {text!r}")
 
@@ -1340,7 +1340,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="describe the available presets and exit",
     )
     matrix_cmd.add_argument(
-        "--seeds", default=None, type=_separated(int, "SEED[,SEED...]"),
+        "--seeds", default=None, type=_separated(_non_negative_int, "SEED[,SEED...]"),
         help="comma-separated seed list overriding the preset's seeds",
     )
     matrix_cmd.add_argument(
@@ -1415,7 +1415,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe budget per deployment size",
     )
     cluster_cap.add_argument(
-        "--seeds", default="0,1", type=_separated(int, "SEED[,SEED...]"),
+        "--seeds", default="0,1", type=_separated(_non_negative_int, "SEED[,SEED...]"),
         help="comma-separated seeds averaged per probe",
     )
     cluster_cap.add_argument(
@@ -1486,7 +1486,7 @@ def build_parser() -> argparse.ArgumentParser:
     order_cmd.add_argument("--model", default="ffnn", choices=MODEL_NAMES)
     order_cmd.add_argument("--bsz", type=int, default=1)
     order_cmd.add_argument("--mp", type=int, default=1)
-    order_cmd.add_argument("--seed", type=int, default=0)
+    order_cmd.add_argument("--seed", type=_non_negative_int, default=0)
     order_cmd.add_argument(
         "--ir", type=float, default=50.0, help="input rate (events/s)"
     )

@@ -183,6 +183,8 @@ class ExperimentConfig:
                 f"unknown model {self.model!r}; expected one of "
                 f"{available_models()}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.bsz < 1:
             raise ConfigError(f"bsz must be >= 1, got {self.bsz}")
         if self.mp < 1:

@@ -61,6 +61,8 @@ class Environment:
         if _OVERRIDES["perturb_seed"] is not None:
             sched = PermutedScheduler(sched, _OVERRIDES["perturb_seed"])
         self._sched = sched
+        self._push = sched.push
+        self._pop = sched.pop
         self._seq = 0
         self._active_process: Process | None = None
         self._timeout_pool: list[Timeout] = []
@@ -81,10 +83,10 @@ class Environment:
 
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Queue ``event`` to be processed ``delay`` time units from now."""
-        self._seq += 1
+        seq = self._seq = self._seq + 1
         if self._tracker is not None:
-            self._tracker.on_schedule(self._seq, self._now + delay, priority)
-        self._sched.push((self._now + delay, priority, self._seq, event))
+            self._tracker.on_schedule(seq, self._now + delay, priority)
+        self._push((self._now + delay, priority, seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -93,7 +95,7 @@ class Environment:
     def step(self) -> None:
         """Process the single next event."""
         try:
-            entry = self._sched.pop()
+            entry = self._pop()
         except IndexError:
             raise SimulationError("no more events") from None
         self._now = entry[0]
@@ -122,9 +124,10 @@ class Environment:
         Returns the event's value when ``until`` is an event.
         """
         sched = self._sched
+        step = self.step
         if until is None:
             while sched:
-                self.step()
+                step()
             return None
 
         if isinstance(until, Event):
@@ -134,7 +137,7 @@ class Environment:
                     raise SimulationError(
                         "event queue drained before the awaited event fired"
                     )
-                self.step()
+                step()
             if not stop.ok:
                 raise typing.cast(BaseException, stop._value)
             return stop.value
@@ -144,8 +147,9 @@ class Environment:
             raise SimulationError(
                 f"cannot run backwards: until={deadline} < now={self._now}"
             )
-        while sched and sched.peek() <= deadline:
-            self.step()
+        peek = sched.peek
+        while sched and peek() <= deadline:
+            step()
         self._now = deadline
         return None
 

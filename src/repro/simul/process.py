@@ -87,7 +87,15 @@ class Process(Event):
                     next_event = self._generator.throw(exc)
             except StopIteration as stop:
                 self.env._active_process = None
-                self.succeed(stop.value)
+                if self.callbacks:
+                    self.succeed(stop.value)
+                else:
+                    # Nobody is waiting: the completion event would fire
+                    # no callbacks, so process it in place instead of
+                    # scheduling it. A later ``yield proc`` (or
+                    # ``run(until=proc)``) sees the value at once.
+                    self._value = stop.value
+                    self.callbacks = None
                 return
             except Interrupt:
                 # The generator chose not to handle the interrupt; treat it

@@ -77,8 +77,12 @@ class Resource:
 
     def _enqueue(self, request: Request) -> None:
         if len(self.users) < self.capacity:
+            # A free slot is granted already processed: the requester
+            # has not yielded yet, so no callback can be waiting and the
+            # ``yield req`` that follows continues in the same step.
             self.users.append(request)
-            request.succeed()
+            request._value = None
+            request.callbacks = None
         else:
             self.queue.append(request)
 

@@ -12,6 +12,7 @@ random member of each ``(time, priority)`` tie class, which is how
 
 from __future__ import annotations
 
+import functools
 import typing
 from heapq import heappop, heappush
 
@@ -25,19 +26,19 @@ INFINITY = float("inf")
 class HeapScheduler:
     """The kernel scheduler: one binary heap."""
 
-    __slots__ = ("_heap",)
+    __slots__ = ("_heap", "push", "pop")
 
     def __init__(self) -> None:
         self._heap: list[Entry] = []
+        # Bound straight to the C heap functions: no Python frame per
+        # push or pop on the kernel's hottest path.
+        self.push: typing.Callable[[Entry], None] = functools.partial(
+            heappush, self._heap
+        )
+        self.pop: typing.Callable[[], Entry] = functools.partial(heappop, self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def push(self, entry: Entry) -> None:
-        heappush(self._heap, entry)
-
-    def pop(self) -> Entry:
-        return heappop(self._heap)
 
     def peek(self) -> float:
         heap = self._heap

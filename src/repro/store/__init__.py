@@ -36,7 +36,6 @@ from repro.store.record import (
     METRIC_DIRECTIONS,
     RunRow,
     cost_proxy,
-    parse_label,
     record_from_row,
     run_row_from_record,
     slot_id_of,
@@ -72,7 +71,6 @@ __all__ = [
     "history",
     "open_store",
     "pareto_frontier",
-    "parse_label",
     "record_from_row",
     "run_row_from_record",
     "slot_id_of",

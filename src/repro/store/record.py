@@ -40,28 +40,6 @@ def slot_id_of(config_dict: dict, seed: int | None) -> str:
     return hashlib.sha256(canonical_json(canonical).encode()).hexdigest()
 
 
-def parse_label(label: str) -> tuple[str, str, str, int]:
-    """Split a config label into (sps, serving, model, nodes).
-
-    Inverse of :meth:`repro.config.ExperimentConfig.label`, accepting
-    the ``-gpu`` serving suffix and the ``@Nn`` cluster suffix.
-    """
-    nodes = 1
-    body = label
-    if "@" in body:
-        body, __, suffix = body.rpartition("@")
-        if not suffix.endswith("n"):
-            raise ValueError(f"malformed cluster suffix in label {label!r}")
-        nodes = int(suffix[:-1])
-    parts = body.split("/")
-    if len(parts) != 3:
-        raise ValueError(f"malformed config label {label!r}")
-    sps, serving, model = parts
-    if serving.endswith("-gpu"):
-        serving = serving[: -len("-gpu")]
-    return sps, serving, model, nodes
-
-
 def _nodes_of(config_dict: dict) -> int:
     cluster = config_dict.get("cluster")
     if isinstance(cluster, dict):

@@ -2,7 +2,9 @@
 
 Covers the condition-callback leak, the Store capacity validation gap,
 cancelled-waiter buildup in resource/store wait queues, the Timeout
-slab contract, and the defused semantics of abandoned processes.
+slab contract, the defused semantics of abandoned processes, and the
+events that are processed in place without reaching the scheduler
+(uncontended requests, unwatched process exits).
 """
 
 import pytest
@@ -309,3 +311,175 @@ def test_crash_after_handling_interrupt_still_escalates():
     env.process(canceller(proc))
     with pytest.raises(RuntimeError, match="real failure"):
         env.run()
+
+
+# -- events processed in place ----------------------------------------
+
+
+def test_uncontended_request_is_processed_on_return():
+    env = Environment()
+    resource = Resource(env, capacity=2)
+    log = []
+
+    def requester():
+        yield env.timeout(1.0)
+        with resource.request() as req:
+            assert req.processed and req.ok and req.value is None
+            scheduled = env._seq
+            yield req
+            # Same step: nothing was scheduled to resume us.
+            assert env._seq == scheduled
+            log.append(("granted", env.now))
+
+    def bystander():
+        yield env.timeout(1.0)
+        log.append(("bystander", env.now))
+
+    env.process(requester())
+    env.process(bystander())
+    env.run()
+    # The grant does not queue behind events already due at t=1.
+    assert log == [("granted", 1.0), ("bystander", 1.0)]
+    assert resource.count == 0
+
+
+def test_contended_requests_wait_in_fifo_order():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    first = resource.request()
+    second = resource.request()
+    assert first.processed
+    assert not second.triggered
+    resource.release(first)
+    # A queued request is woken through the scheduler, not in place.
+    assert second.triggered and not second.processed
+    env.run()
+    assert second.processed
+    resource.release(second)
+
+    order = []
+
+    def user(tag):
+        with resource.request() as req:
+            yield req
+            order.append((tag, env.now))
+            yield env.timeout(1.0)
+
+    for tag in "abc":
+        env.process(user(tag))
+    env.run()
+    assert order == [("a", 0.0), ("b", 1.0), ("c", 2.0)]
+
+
+def test_unwatched_exit_is_processed_in_place():
+    env = Environment()
+    seen = []
+
+    def child():
+        yield env.timeout(1.0)
+        return "done"
+
+    proc = env.process(child())
+
+    def observer():
+        # Due at t=1 after the child's timeout, so it runs right after
+        # the child returned; no completion event stands between them.
+        yield env.timeout(1.0)
+        seen.append(proc.processed)
+
+    env.process(observer())
+    env.run(until=2.0)
+    assert seen == [True]
+    assert proc.processed and not proc.is_alive and proc.value == "done"
+
+    got = []
+
+    def late():
+        value = yield proc
+        got.append(("yield", env.now, value))
+        result = yield env.all_of([proc])
+        got.append(("all_of", env.now, result[proc]))
+
+    env.process(late())
+    env.run()
+    assert got == [("yield", 2.0, "done"), ("all_of", 2.0, "done")]
+    assert env.run(until=proc) == "done"
+
+
+def test_run_until_an_unwatched_process_returns_its_value():
+    env = Environment()
+
+    def child():
+        yield env.timeout(3.0)
+        return 42
+
+    def background():
+        while True:
+            yield env.timeout(1.0)
+
+    proc = env.process(child())
+    env.process(background())
+    assert env.run(until=proc) == 42
+    assert env.now == 3.0
+
+
+def test_watcher_attached_before_exit_is_resumed():
+    env = Environment()
+    got = []
+
+    def child():
+        yield env.timeout(1.0)
+        return "done"
+
+    proc = env.process(child())
+
+    def waiter():
+        value = yield proc
+        got.append(("yield", env.now, value))
+
+    def racer():
+        result = yield env.any_of([proc, env.timeout(5.0)])
+        got.append(("any_of", env.now, result[proc]))
+
+    env.process(waiter())
+    env.process(racer())
+    env.run()
+    assert sorted(got) == [("any_of", 1.0, "done"), ("yield", 1.0, "done")]
+
+
+def test_unwatched_failing_process_still_escalates():
+    env = Environment()
+
+    def crasher():
+        yield env.timeout(1.0)
+        raise RuntimeError("unwatched failure")
+
+    env.process(crasher())
+    with pytest.raises(RuntimeError, match="unwatched failure"):
+        env.run()
+
+
+def test_slot_granted_in_place_is_released_on_interrupt():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    granted = []
+
+    def holder():
+        with resource.request() as req:
+            yield req
+            yield env.timeout(1000.0)
+
+    def next_in_line():
+        yield env.timeout(0.5)
+        with resource.request() as req:
+            yield req
+            granted.append(env.now)
+
+    proc = env.process(holder())
+    env.process(next_in_line())
+    _interrupt_later(env, proc, 1.0)
+    env.run()  # the interrupt is defused: nothing escalates
+    assert not proc.is_alive
+    assert isinstance(proc._value, Interrupt)
+    assert granted == [1.0]
+    assert resource.count == 0

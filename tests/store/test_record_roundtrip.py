@@ -9,7 +9,6 @@ import repro.config
 from repro.config import EMBEDDED_TOOLS, ExperimentConfig
 from repro.store.record import (
     cost_proxy,
-    parse_label,
     record_from_row,
     run_row_from_record,
     slot_id_of,
@@ -78,14 +77,6 @@ def test_slot_id_matches_result_cache_identity(
         )
         twin = config.replace(seed=config_seed).canonical_dict()
         assert store.lookup(twin, seed) == record
-
-
-@settings(max_examples=60, deadline=None)
-@given(config=configs)
-def test_parse_label_inverts_label(config):
-    sps, serving, model, nodes = parse_label(config.label())
-    assert (sps, serving, model) == (config.sps, config.serving, config.model)
-    assert nodes == 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -290,6 +290,16 @@ def _exit_code(argv):
             ["verify-order", "--permutations", "-1"],
             "--permutations: wants an integer >= 0, got '-1'",
         ),
+        (["matrix", "--seeds", "0,-1"], "--seeds: wants SEED[,SEED...], got '0,-1'"),
+        (
+            ["cluster", "capacity-search", "--seeds", "-2"],
+            "--seeds: wants SEED[,SEED...], got '-2'",
+        ),
+        (["run", "--seed", "-1"], "--seed: wants an integer >= 0, got '-1'"),
+        (
+            ["verify-order", "--seed", "-1"],
+            "--seed: wants an integer >= 0, got '-1'",
+        ),
     ],
 )
 def test_bad_input_exits_two_with_message(argv, message, capsys):

@@ -41,6 +41,7 @@ def test_is_embedded():
         ("bd", 0.0),
         ("tbb", -1.0),
         ("partitions", 0),
+        ("seed", -1),
     ],
 )
 def test_invalid_fields_rejected(field, value):
