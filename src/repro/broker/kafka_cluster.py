@@ -28,6 +28,21 @@ from repro.simul import Environment, Event, Resource
 from repro.tracing.spans import NO_TRACE
 
 
+class _SpanNames:
+    """The broker span names of one topic, built once when it is created:
+    appends pass them to the tracer on every call, tracing on or off."""
+
+    __slots__ = ("send", "append_wait", "append", "unavailable", "dwell", "fetch")
+
+    def __init__(self, topic: str) -> None:
+        self.send = f"broker.send:{topic}"
+        self.append_wait = f"broker.append_wait:{topic}"
+        self.append = f"broker.append:{topic}"
+        self.unavailable = f"broker.unavailable:{topic}"
+        self.dwell = f"broker.dwell:{topic}"
+        self.fetch = f"broker.fetch:{topic}"
+
+
 class BrokerCluster:
     """A cluster of ``broker_count`` brokers sharing topic partitions."""
 
@@ -58,6 +73,7 @@ class BrokerCluster:
         self.tracer = tracer
         self.metrics = metrics
         self._topics: dict[str, Topic] = {}
+        self._span_names: dict[str, _SpanNames] = {}
         # Active partition outages: producers block on the gate event
         # until the partition's leadership is restored.
         self._outages: dict[tuple[str, int], Event] = {}
@@ -84,6 +100,7 @@ class BrokerCluster:
             raise ConfigError(f"topic {name!r} already exists")
         topic = Topic(self.env, name, partitions)
         self._topics[name] = topic
+        self._span_names[name] = _SpanNames(name)
         self.metrics.gauge(
             "broker_partition_depth",
             help="records appended across the topic's partitions",
@@ -158,6 +175,7 @@ class BrokerCluster:
                 f"{self.max_request_bytes:.0f} B"
             )
         log = self.topic(topic).partition(partition)
+        names = self._span_names[topic]
         # An unavailable partition has no leader to accept the write: the
         # producer's delivery blocks until the outage ends (librdkafka-style
         # internal retries, collapsed into one wait).
@@ -165,21 +183,21 @@ class BrokerCluster:
             gate = self._outages.get((topic, partition))
             if gate is None:
                 break
-            span = self.tracer.begin(value, f"broker.unavailable:{topic}")
+            span = self.tracer.begin(value, names.unavailable)
             yield gate
             self.tracer.end(span)
         attrs = self._node_attrs(partition)
-        span = self.tracer.begin(value, f"broker.send:{topic}", **attrs)
+        span = self.tracer.begin(value, names.send, **attrs)
         yield self.env.service_timeout(
             self._link_for(partition, client_node).transfer_time(nbytes)
         )
         self.tracer.end(span)
         broker = self.broker_for(topic, partition)
-        wait = self.tracer.begin(value, f"broker.append_wait:{topic}", **attrs)
+        wait = self.tracer.begin(value, names.append_wait, **attrs)
         with broker.request() as req:
             yield req
             self.tracer.end(wait)
-            span = self.tracer.begin(value, f"broker.append:{topic}", **attrs)
+            span = self.tracer.begin(value, names.append, **attrs)
             service = cal.BROKER_APPEND_OVERHEAD + nbytes / cal.BROKER_IO_BANDWIDTH
             yield self.env.service_timeout(service)
             record = log.append(timestamp, value, nbytes)
@@ -288,17 +306,15 @@ class BrokerCluster:
         """
         if not self.tracer.enabled:
             return
+        names = self._span_names[topic]
         for record in records:
             ctx = self.tracer.context_of(record.value)
             if ctx is None:
                 continue
             self.tracer.record(
-                ctx,
-                f"broker.dwell:{topic}",
-                start=record.log_append_time,
-                end=fetch_start,
+                ctx, names.dwell, start=record.log_append_time, end=fetch_start
             )
-            self.tracer.record(ctx, f"broker.fetch:{topic}", start=fetch_start)
+            self.tracer.record(ctx, names.fetch, start=fetch_start)
 
     def wait_for_data(self, topic: str, partition: int, offset: int):
         """Event firing once the partition has records past ``offset``."""

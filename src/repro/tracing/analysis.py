@@ -79,7 +79,7 @@ def _attribution_segments(
     assert root.end is not None
     candidates = []
     for span in spans:
-        if span is root or span.end is None:
+        if span.span_id == root.span_id or span.end is None:
             continue
         # Clip to the root window; spans entirely outside contribute nothing.
         start = max(span.start, root.start)
@@ -216,7 +216,7 @@ def node_breakdown(tracer: Tracer, cutoff: float = 0.0) -> dict[str, float]:
         if root.end < cutoff:
             continue
         for span in tracer.spans(trace_id):
-            if span is root or span.end is None:
+            if span.span_id == root.span_id or span.end is None:
                 continue
             node = span.attrs.get("node", UNATTRIBUTED_NODE)
             totals[node] = totals.get(node, 0.0) + span.duration

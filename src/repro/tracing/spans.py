@@ -14,16 +14,25 @@ simulated time. A traced run therefore executes the *identical* event
 sequence as an untraced one (the determinism regression test asserts
 byte-identical latency statistics).
 
+Spans are stored as columns, one row per span: trace id and name in
+lists, start and end times in ``array('d')`` (NaN while open), and
+explicit parents and attrs in sparse dicts keyed by row. A stored span
+costs about 45 bytes, and the hot path allocates nothing per span beyond
+column entries.
+``begin``/``record``/``lapse`` hand back the int span id; :class:`Span`
+objects are views, built from the columns when a trace is queried.
+
 Memory at high input rates is bounded by head-based sampling: the
 sampling decision is taken once, when the batch is created
 (``sample_every``), and a hard ``max_traces`` cap stops admitting new
-traces once reached — spans of unsampled records are never allocated.
+traces once reached — spans of unsampled records are never stored.
 """
 
 from __future__ import annotations
 
+import array
 import dataclasses
-import itertools
+import math
 import typing
 
 from repro.errors import ConfigError
@@ -45,7 +54,9 @@ class TraceOptions:
 
     #: Head-based sampling: trace every Nth batch (1 = every batch).
     sample_every: int = 1
-    #: Hard cap on admitted traces; bounds memory at 30k ev/s.
+    #: Hard cap on admitted traces; bounds memory at 30k ev/s. At about
+    #: 41 spans per record and ~45 bytes per stored span, the default
+    #: cap holds under 8 MiB of spans (views are built only on query).
     max_traces: int = 4096
 
     def __post_init__(self) -> None:
@@ -57,8 +68,15 @@ class TraceOptions:
             raise ConfigError(f"max_traces must be >= 1, got {self.max_traces}")
 
 
+#: The end time of a span that is still open.
+_OPEN = math.nan
+
+
 class Span:
-    """One named interval of a trace. ``end`` is None while open."""
+    """A view of one named interval of a trace. ``end`` is None while open.
+
+    :class:`Tracer` stores spans as columns and builds these on query.
+    """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "start", "end", "attrs")
 
@@ -140,12 +158,18 @@ NO_TRACE = NullTracer()
 
 
 class Tracer:
-    """Collects spans per trace, in simulated time.
+    """Collects spans per trace, in simulated time, as columns.
 
     Accepts a ``CrayfishDataBatch`` (anything with a ``trace``
     attribute), a :class:`TraceContext`, or ``None`` wherever a trace
     subject is expected; unsampled subjects make every call a no-op, so
     call sites need no sampling checks.
+
+    Span handles are int span ids. Row ``r`` of the columns holds span id
+    ``r + 1``; ids follow one global counter across traces, roots
+    included. :meth:`spans`, :meth:`root` and :meth:`span` build
+    :class:`Span` views from the columns and cache them until the next
+    write.
     """
 
     enabled = True
@@ -162,10 +186,21 @@ class Tracer:
         self.max_traces = options.max_traces
         #: Traces rejected by the max_traces cap (not by sample_every).
         self.dropped = 0
-        self._traces: dict[int, list[Span]] = {}
-        self._roots: dict[int, Span] = {}
-        self._span_ids = itertools.count(1)
+        # One entry per span, indexed by row; NaN ends mark open spans.
+        self._trace: list[int] = []
+        self._name: list[str] = []
+        self._start = array.array("d")
+        self._end = array.array("d")
+        # Sparse: explicit parent span ids and attrs, by row. A span with
+        # no explicit parent hangs off its trace's root.
+        self._parent: dict[int, int] = {}
+        self._attrs: dict[int, dict] = {}
+        # Trace id -> row of its root span, in admission order.
+        self._root_row: dict[int, int] = {}
         self._marks: dict[tuple[int, str], float] = {}
+        # Query cache (trace id -> rows, trace id -> views); any write
+        # drops it.
+        self._cache: tuple[dict[int, list[int]], dict[int, list[Span]]] | None = None
 
     # -- admission -------------------------------------------------------
 
@@ -177,55 +212,65 @@ class Tracer:
         """
         if batch_id % self.sample_every != 0:
             return None
-        if len(self._traces) >= self.max_traces:
+        if len(self._root_row) >= self.max_traces:
             self.dropped += 1
             return None
-        root = Span(batch_id, next(self._span_ids), None, "record", start=created_at)
-        self._traces[batch_id] = [root]
-        self._roots[batch_id] = root
+        self._root_row[batch_id] = len(self._name)
+        self._append(batch_id, "record", created_at, _OPEN)
         return TraceContext(trace_id=batch_id)
 
     def context_of(self, obj: typing.Any) -> TraceContext | None:
         """Resolve a batch / context / None to a known TraceContext."""
         ctx = getattr(obj, "trace", obj)
-        if isinstance(ctx, TraceContext) and ctx.trace_id in self._traces:
+        if isinstance(ctx, TraceContext) and ctx.trace_id in self._root_row:
             return ctx
         return None
 
     # -- span lifecycle --------------------------------------------------
 
+    def _append(
+        self,
+        trace_id: int,
+        name: str,
+        start: float,
+        end: float,
+        parent: int | None = None,
+        attrs: dict | None = None,
+    ) -> int:
+        """Add one row; returns its span id."""
+        row = len(self._name)
+        self._trace.append(trace_id)
+        self._name.append(name)
+        self._start.append(start)
+        self._end.append(end)
+        if parent is not None:
+            self._parent[row] = parent
+        if attrs:
+            self._attrs[row] = attrs
+        self._cache = None
+        return row + 1
+
     def begin(
         self,
         obj: typing.Any,
         name: str,
-        parent: Span | None = None,
+        parent: int | None = None,
         **attrs: typing.Any,
-    ) -> Span | None:
-        """Open a span now; returns None for unsampled subjects."""
+    ) -> int | None:
+        """Open a span now; returns its id, or None for unsampled subjects."""
         ctx = self.context_of(obj)
         if ctx is None:
             return None
-        parent_id = parent.span_id if parent is not None else (
-            self._roots[ctx.trace_id].span_id
-        )
-        span = Span(
-            ctx.trace_id,
-            next(self._span_ids),
-            parent_id,
-            name,
-            start=self.env.now,
-            attrs=dict(attrs) if attrs else None,
-        )
-        self._traces[ctx.trace_id].append(span)
-        return span
+        return self._append(ctx.trace_id, name, self.env.now, _OPEN, parent, attrs)
 
-    def end(self, span: Span | None, **attrs: typing.Any) -> None:
+    def end(self, span: int | None, **attrs: typing.Any) -> None:
         """Close a span now (None-safe)."""
         if span is None:
             return
-        span.end = self.env.now
+        self._end[span - 1] = self.env.now
         if attrs:
-            span.attrs.update(attrs)
+            self._attrs.setdefault(span - 1, {}).update(attrs)
+        self._cache = None
 
     def record(
         self,
@@ -233,9 +278,9 @@ class Tracer:
         name: str,
         start: float,
         end: float | None = None,
-        parent: Span | None = None,
+        parent: int | None = None,
         **attrs: typing.Any,
-    ) -> Span | None:
+    ) -> int | None:
         """Record a retroactive, already-closed span (e.g. queue dwell)."""
         ctx = self.context_of(obj)
         if ctx is None:
@@ -244,20 +289,7 @@ class Tracer:
             end = self.env.now
         if end < start:
             raise ValueError(f"span {name!r}: end {end} before start {start}")
-        parent_id = parent.span_id if parent is not None else (
-            self._roots[ctx.trace_id].span_id
-        )
-        span = Span(
-            ctx.trace_id,
-            next(self._span_ids),
-            parent_id,
-            name,
-            start=start,
-            end=end,
-            attrs=dict(attrs) if attrs else None,
-        )
-        self._traces[ctx.trace_id].append(span)
-        return span
+        return self._append(ctx.trace_id, name, start, end, parent, attrs)
 
     # -- marks: measure waits across process boundaries ------------------
 
@@ -273,9 +305,9 @@ class Tracer:
         obj: typing.Any,
         name: str,
         key: str,
-        parent: Span | None = None,
+        parent: int | None = None,
         **attrs: typing.Any,
-    ) -> Span | None:
+    ) -> int | None:
         """Record a span from the matching :meth:`mark` to now."""
         ctx = self.context_of(obj)
         if ctx is None:
@@ -296,31 +328,72 @@ class Tracer:
         ctx = self.context_of(obj)
         if ctx is None:
             return
-        root = self._roots[ctx.trace_id]
-        if root.end is not None:
+        row = self._root_row[ctx.trace_id]
+        if not math.isnan(self._end[row]):
             return
-        root.end = self.env.now if end_time is None else end_time
+        self._end[row] = self.env.now if end_time is None else end_time
+        self._cache = None
 
     # -- queries ---------------------------------------------------------
 
     def trace_ids(self) -> tuple[int, ...]:
         """All admitted trace ids, in admission order."""
-        return tuple(self._traces)
+        return tuple(self._root_row)
 
     def finished_trace_ids(self) -> tuple[int, ...]:
         """Trace ids whose record completed (root span closed)."""
-        return tuple(t for t, root in self._roots.items() if root.end is not None)
+        ends = self._end
+        return tuple(
+            t for t, row in self._root_row.items() if not math.isnan(ends[row])
+        )
+
+    def _views(self, trace_id: int) -> list[Span]:
+        """The cached views of one trace, root first, in recording order."""
+        if self._cache is None:
+            rows: dict[int, list[int]] = {t: [] for t in self._root_row}
+            for row, owner in enumerate(self._trace):
+                rows[owner].append(row)
+            self._cache = (rows, {})
+        rows, views = self._cache
+        built = views.get(trace_id)
+        if built is None:
+            built = views[trace_id] = [self._view(row) for row in rows[trace_id]]
+        return built
+
+    def _view(self, row: int) -> Span:
+        trace_id = self._trace[row]
+        parent = self._parent.get(row)
+        root_row = self._root_row[trace_id]
+        if parent is None and row != root_row:
+            parent = root_row + 1
+        end = self._end[row]
+        return Span(
+            trace_id,
+            row + 1,
+            parent,
+            self._name[row],
+            start=self._start[row],
+            end=None if math.isnan(end) else end,
+            attrs=self._attrs.get(row),
+        )
 
     def spans(self, trace_id: int) -> list[Span]:
         """All spans of one trace, root first, in recording order."""
-        return list(self._traces[trace_id])
+        return list(self._views(trace_id))
 
     def root(self, trace_id: int) -> Span:
-        return self._roots[trace_id]
+        return self._views(trace_id)[0]
+
+    def span(self, span_id: int) -> Span:
+        """The view of one span, by the id ``begin``/``record`` returned."""
+        if not 0 < span_id <= len(self._name):
+            raise KeyError(span_id)
+        views = self._views(self._trace[span_id - 1])
+        return next(view for view in views if view.span_id == span_id)
 
     @property
     def span_count(self) -> int:
-        return sum(len(spans) for spans in self._traces.values())
+        return len(self._name)
 
 
 def make_tracer(env: "Environment", trace: typing.Any) -> Tracer | NullTracer:

@@ -5,6 +5,7 @@ import pytest
 from repro.simul import Environment
 from repro.tracing.analysis import (
     UNTRACED,
+    _attribution_segments,
     bottleneck,
     bottleneck_ranking,
     breakdown_table,
@@ -79,6 +80,19 @@ def test_breakdown_requires_completed_record():
         record_breakdown(tracer, 0)
     with pytest.raises(ValueError, match="not completed"):
         critical_path(tracer, 0)
+
+
+def test_sweep_matches_the_root_by_id_not_identity():
+    tracer = hand_built_trace()
+    root = tracer.root(0)
+    # Admitting another trace is a write: the views of trace 0 are
+    # rebuilt, so the root in spans() is a different object.
+    tracer.make_context(1, created_at=0.0)
+    spans = tracer.spans(0)
+    assert spans[0] is not root
+    stages = {segment.stage for segment in _attribution_segments(root, spans)}
+    assert "record" not in stages
+    assert UNTRACED in stages
 
 
 def test_critical_path_orders_and_merges():

@@ -48,9 +48,10 @@ def test_begin_end_records_current_time():
     env = Environment()
     tracer = Tracer(env)
     batch = make_batch(tracer)
-    span = tracer.begin(batch, "stage", color="x")
+    span_id = tracer.begin(batch, "stage", color="x")
     advance(env, 2.0)
-    tracer.end(span, items=3)
+    tracer.end(span_id, items=3)
+    span = tracer.span(span_id)
     assert span.start == 0.0
     assert span.end == 2.0
     assert span.duration == 2.0
@@ -103,7 +104,7 @@ def test_mark_lapse_measures_queue_wait():
     batch = make_batch(tracer)
     tracer.mark(batch, "enqueue")
     advance(env, 0.75)
-    span = tracer.lapse(batch, "queue_wait", "enqueue")
+    span = tracer.span(tracer.lapse(batch, "queue_wait", "enqueue"))
     assert span.start == 0.0
     assert span.end == 0.75
     # The mark is consumed: a second lapse finds nothing.
@@ -137,7 +138,26 @@ def test_explicit_parent_nesting():
     batch = make_batch(tracer)
     outer = tracer.begin(batch, "outer")
     inner = tracer.begin(batch, "inner", parent=outer)
-    assert inner.parent_id == outer.span_id
+    assert tracer.span(inner).parent_id == tracer.span(outer).span_id
+
+
+def test_views_are_cached_until_the_next_write():
+    env = Environment()
+    tracer = Tracer(env)
+    batch = make_batch(tracer)
+    span_id = tracer.begin(batch, "stage")
+    root = tracer.root(0)
+    assert root is tracer.spans(0)[0]
+    assert tracer.span(span_id) is tracer.spans(0)[1]
+    assert tracer.span(span_id).end is None
+    advance(env, 1.0)
+    tracer.end(span_id)
+    # The write dropped the cached views; new ones show the close.
+    assert tracer.span(span_id).end == 1.0
+    assert tracer.root(0) is not root
+    assert tracer.root(0).span_id == root.span_id
+    with pytest.raises(KeyError):
+        tracer.span(span_id + 1)
 
 
 def test_trace_options_validation():
