@@ -6,7 +6,8 @@ import dataclasses
 import typing
 
 
-@dataclasses.dataclass(frozen=True)
+# Built per record: slotted, not frozen (cheaper __init__); treat as immutable.
+@dataclasses.dataclass(slots=True)
 class RecordMetadata:
     """Returned to a producer once a record is durably appended."""
 
@@ -16,7 +17,8 @@ class RecordMetadata:
     log_append_time: float
 
 
-@dataclasses.dataclass(frozen=True)
+# Built per record: slotted, not frozen (cheaper __init__); treat as immutable.
+@dataclasses.dataclass(slots=True)
 class ConsumerRecord:
     """One record as seen by a consumer."""
 

@@ -15,7 +15,8 @@ from repro.netsim import json_payload
 from repro.tracing.spans import TraceContext
 
 
-@dataclasses.dataclass(frozen=True)
+# Built per record: slotted, not frozen (cheaper __init__); treat as immutable.
+@dataclasses.dataclass(slots=True)
 class CrayfishDataBatch:
     """One scoring request travelling through the pipeline."""
 

@@ -78,7 +78,8 @@ def percentile(ordered: typing.Sequence[float], q: float) -> float:
     return ordered[low] + (ordered[high] - ordered[low]) * fraction
 
 
-@dataclasses.dataclass(frozen=True)
+# Built per record: slotted, not frozen (cheaper __init__); treat as immutable.
+@dataclasses.dataclass(slots=True)
 class Completion:
     """One observed batch completion."""
 

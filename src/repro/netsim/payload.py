@@ -9,13 +9,18 @@ scalar values in the batch.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro import calibration as cal
 
 
 @dataclasses.dataclass(frozen=True)
 class Payload:
-    """A sized unit of data travelling through the pipeline."""
+    """A sized unit of data travelling through the pipeline.
+
+    Frozen on purpose: :func:`json_payload` and :func:`binary_payload`
+    hand the same cached instance to every caller.
+    """
 
     #: Number of scalar values carried (e.g. bsz * prod(isz)).
     values: int
@@ -31,6 +36,10 @@ class Payload:
             raise ValueError("payload values/nbytes must be non-negative")
 
 
+# Pure functions of ``values``, and a process sees only a few distinct
+# sizes, so callers share one frozen Payload per size. ``typed=True``
+# keeps 3 and 3.0 apart: ``values`` keeps the type the caller passed.
+@functools.lru_cache(maxsize=None, typed=True)
 def json_payload(values: int) -> Payload:
     """The JSON encoding of ``values`` float32 scalars plus envelope."""
     nbytes = values * cal.JSON_BYTES_PER_VALUE + cal.JSON_ENVELOPE_BYTES
@@ -42,6 +51,7 @@ def json_payload(values: int) -> Payload:
     )
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def binary_payload(values: int) -> Payload:
     """The protobuf/tensor encoding used on gRPC channels."""
     nbytes = values * cal.BINARY_BYTES_PER_VALUE + 64.0

@@ -14,7 +14,8 @@ from repro.netsim.link import Link
 from repro.netsim.payload import Payload, binary_payload, json_payload
 
 
-@dataclasses.dataclass(frozen=True)
+# Built per record: slotted, not frozen (cheaper __init__); treat as immutable.
+@dataclasses.dataclass(slots=True)
 class RpcCosts:
     """Cost breakdown of one round trip, excluding server-side service."""
 

@@ -17,7 +17,8 @@ from repro.simul import Environment
 from repro.tracing.spans import NO_TRACE
 
 
-@dataclasses.dataclass(frozen=True)
+# Built per record: slotted, not frozen (cheaper __init__); treat as immutable.
+@dataclasses.dataclass(slots=True)
 class ScoringResult:
     """What a scoring call produced."""
 

@@ -143,13 +143,20 @@ class Environment:
             return stop.value
 
         deadline = float(until)
-        if deadline < self._now:
+        if not deadline >= self._now:  # NaN fails this test too
             raise SimulationError(
                 f"cannot run backwards: until={deadline} < now={self._now}"
             )
-        peek = sched.peek
-        while sched and peek() <= deadline:
-            step()
+        if deadline < INFINITY:
+            # The hot loop: no ``len(sched)`` per event, because ``peek()``
+            # returns inf, past any finite deadline, once the queue drains.
+            peek = sched.peek
+            while peek() <= deadline:
+                step()
+        else:
+            # ``peek()`` cannot tell a drained queue from an event due at
+            # inf, so drain by length, as ``run()`` does.
+            self.run()
         self._now = deadline
         return None
 
@@ -177,8 +184,8 @@ class Environment:
             timeout = Timeout(self, delay, value)
             timeout._slab = True
             return timeout
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         timeout = pool.pop()
         timeout.callbacks = []
         timeout._value = value

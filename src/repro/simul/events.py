@@ -106,8 +106,9 @@ class Timeout(Event):
     __slots__ = ("delay", "_slab")
 
     def __init__(self, env: "Environment", delay: float, value: object = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
+        if not delay >= 0:
+            # Negative or NaN: a NaN key would silently break heap order.
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(env)
         self.delay = delay
         self._slab = False

@@ -80,8 +80,10 @@ class Process(Event):
         self.env._active_process = self
         while True:
             try:
-                if event.ok:
-                    next_event = self._generator.send(event.value)
+                # Fields, not the ``ok``/``value`` properties: a resumed
+                # event is always triggered, so the PENDING check is moot.
+                if event._ok:
+                    next_event = self._generator.send(event._value)
                 else:
                     exc = typing.cast(BaseException, event._value)
                     next_event = self._generator.throw(exc)

@@ -96,9 +96,9 @@ class PermutedScheduler:
     def _drain_tick(self) -> None:
         """Pull every base entry of the next timestamp into the pools."""
         base = self._base
-        time = base.peek()
-        if time == INFINITY:
+        if not len(base):
             raise IndexError("pop from an empty scheduler")
+        time = base.peek()
         pools = self._pools
         while len(base) and base.peek() == time:
             entry = base.pop()

@@ -16,7 +16,8 @@ from repro.core.batch import CrayfishDataBatch
 from repro.simul import Environment, Store
 
 
-@dataclasses.dataclass(frozen=True)
+# Built per record: slotted, not frozen (cheaper __init__); treat as immutable.
+@dataclasses.dataclass(slots=True)
 class InputEvent:
     """One event as handed to an engine's source operator."""
 

@@ -1,5 +1,7 @@
 """Unit tests for the network and serialization cost models."""
 
+import dataclasses
+
 import pytest
 
 from repro.netsim import GrpcChannel, HttpChannel, Link, binary_payload, json_payload
@@ -76,3 +78,43 @@ def test_server_codec_costs():
     channel = GrpcChannel()
     assert channel.server_decode_cost(784) > 0
     assert channel.server_encode_cost(10) > 0
+
+
+def test_payloads_are_memoized_per_size_and_type():
+    assert json_payload(784) is json_payload(784)
+    assert binary_payload(784) is binary_payload(784)
+    # typed=True: an int and an equal float are separate entries.
+    assert type(json_payload(3).values) is int
+    assert type(json_payload(3.0).values) is float
+    assert json_payload(3) is not json_payload(3.0)
+
+
+def test_cached_payload_is_frozen():
+    payload = json_payload(10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        payload.nbytes = 0.0
+    assert json_payload(10).nbytes == payload.nbytes > 0
+
+
+def test_invalid_sizes_raise_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            json_payload(-1)
+        with pytest.raises(ValueError):
+            binary_payload(-1)
+
+
+def test_a_ks_run_builds_a_handful_of_payloads():
+    from repro.config import ExperimentConfig
+    from repro.core.runner import ExperimentRunner
+
+    config = ExperimentConfig(
+        sps="kafka_streams", serving="onnx", model="ffnn", mp=8, ir=None,
+        duration=0.25,
+    )
+    json_payload.cache_clear()
+    result = ExperimentRunner(config).run(seed=1)
+    info = json_payload.cache_info()
+    assert result.completed > 100
+    assert info.hits > 100 * info.misses
+    assert info.misses <= 4
