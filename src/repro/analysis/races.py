@@ -509,7 +509,7 @@ class TieRaceRule(Rule):
     name = "tie-race"
     description = (
         "dynamic: conflicting same-tie-class state accesses recorded by "
-        "the tie tracker (crayfish run --tie-track)"
+        "the tie tracker (crayfish verify-order reruns it on a divergence)"
     )
     dynamic = True
 

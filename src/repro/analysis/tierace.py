@@ -15,23 +15,28 @@ kernel can never pop it first), so accesses along one scheduling chain
 are ordered and never conflict. Only accesses from two chains with no
 common same-tick ancestor edge compete.
 
-Attach via :func:`repro.simul.core.kernel_overrides`::
+Only this module knows the tracker's protocol; :func:`track_ties`
+installs it for a ``with`` block (``crayfish verify-order`` does so when
+a permutation diverges)::
 
-    tracker = TieTracker()
-    with kernel_overrides(tracker=tracker):
+    with track_ties() as tracker:
         ExperimentRunner(config).run()
     conflicts, suppressed = tracker.apply_pragmas()
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import pathlib
 import sys
 import typing
 
 from repro.analysis.core import Finding
 from repro.analysis.pragmas import match_pragma, parse_pragmas
+from repro.simul.core import kernel_overrides
+from repro.simul.resources import Resource, Store
 
 #: Rule name tie conflicts report under (registered as a dynamic
 #: pseudo-rule in repro.analysis.races so pragmas validate).
@@ -106,8 +111,8 @@ class _Access:
 
 
 class TieTracker:
-    """Duck-typed kernel tracker (``attach``/``on_schedule``/``on_pop``/
-    ``on_state``) recording tie-class state-access conflicts."""
+    """Records tie-class state-access conflicts from the ``on_schedule``/
+    ``on_pop``/``on_state`` calls that :func:`track_ties` makes."""
 
     def __init__(self) -> None:
         #: Finalized, deduplicated conflicts across the whole run.
@@ -128,17 +133,13 @@ class TieTracker:
         self._current_priority: int = 0
         self.accesses_recorded = 0
 
-    # -- kernel hooks --------------------------------------------------
+    # -- protocol ------------------------------------------------------
 
-    def attach(self, env: typing.Any) -> None:
-        """A new Environment came up under this tracker; nothing to do —
-        per-tick tables key on (time, seq) which restart with it."""
-
-    def on_schedule(self, seq: int, time: float, priority: int) -> None:
-        if self._current_seq is not None and time == self._current_time:
-            # Same-tick causality edge: `seq` cannot pop before the
+    def on_schedule(self, entry: tuple) -> None:
+        if self._current_seq is not None and entry[0] == self._current_time:
+            # Same-tick causality edge: the entry cannot pop before the
             # entry that scheduled it has finished processing.
-            self._parents[seq] = self._current_seq
+            self._parents[entry[2]] = self._current_seq
 
     def on_pop(self, entry: tuple) -> None:
         time, priority, seq = entry[0], entry[1], entry[2]
@@ -300,3 +301,73 @@ class TieTracker:
             )
             (suppressed if matched else kept).append(conflict)
         return kept, suppressed
+
+
+class _TrackedScheduler:
+    """Scheduler wrapper that shows the tracker every push and pop."""
+
+    __slots__ = ("_base", "_tracker")
+
+    def __init__(self, base: typing.Any, tracker: typing.Any) -> None:
+        self._base = base
+        self._tracker = tracker
+
+    def __len__(self) -> int:
+        return len(self._base)
+
+    def push(self, entry: tuple) -> None:
+        self._tracker.on_schedule(entry)
+        self._base.push(entry)
+
+    def pop(self) -> tuple:
+        entry = self._base.pop()
+        self._tracker.on_pop(entry)
+        return entry
+
+    def peek(self) -> float:
+        return self._base.peek()
+
+
+#: The watched state entry points: (class, method, state kind, access
+#: mode given the receiver). A non-blocking put into a full store, or get
+#: from an empty one, only reads it.
+_STATE_ACCESSES: tuple[tuple[type, str, str, typing.Callable[[typing.Any], str]], ...] = (
+    (Resource, "request", "resource", lambda res: "w"),
+    (Resource, "release", "resource", lambda res: "w"),
+    (Store, "put", "store", lambda store: "w"),
+    (Store, "get", "store", lambda store: "w"),
+    (Store, "try_put", "store", lambda store: "w" if len(store.items) < store.capacity else "r"),
+    (Store, "try_get", "store", lambda store: "w" if store.items else "r"),
+)
+
+
+def _watched(
+    method: typing.Callable, tracker: typing.Any, kind: str, mode: typing.Callable
+) -> typing.Callable:
+    @functools.wraps(method)
+    def watched(self: typing.Any, *args: typing.Any, **kwargs: typing.Any) -> typing.Any:
+        tracker.on_state(self, kind, mode(self))
+        return method(self, *args, **kwargs)
+
+    return watched
+
+
+@contextlib.contextmanager
+def track_ties(tracker: typing.Any = None) -> typing.Iterator[typing.Any]:
+    """Track every Environment built inside the block and yield the
+    tracker (a fresh :class:`TieTracker` unless one is given).
+
+    Wraps each new Environment's scheduler (the kernel's one seam) and,
+    like the sanitizer, patches the ``Resource``/``Store`` entry points
+    process-wide for the block, restoring them even when it raises.
+    """
+    tracker = TieTracker() if tracker is None else tracker
+    originals = [(cls, name, getattr(cls, name)) for cls, name, __, __ in _STATE_ACCESSES]
+    try:
+        for cls, name, kind, mode in _STATE_ACCESSES:
+            setattr(cls, name, _watched(getattr(cls, name), tracker, kind, mode))
+        with kernel_overrides(lambda base: _TrackedScheduler(base, tracker)):
+            yield tracker
+    finally:
+        for cls, name, method in originals:
+            setattr(cls, name, method)

@@ -3,7 +3,7 @@
 ``crayfish run`` is the one single-experiment command: one
 :class:`~repro.config.ExperimentConfig` built from flags, plus the
 instruments asked for (``--trace``, ``--metrics``, ``--fault``,
-``--nodes``, ``--tie-track``). Examples::
+``--nodes``). Examples::
 
     crayfish run --sps flink --serving onnx --model ffnn
     crayfish run --sps kafka_streams --serving tf_serving --mp 8
@@ -19,7 +19,6 @@ instruments asked for (``--trace``, ``--metrics``, ``--fault``,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -181,26 +180,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "trace": tracing if args.trace else None,
         "metrics": telemetry if args.metrics else None,
     }
-    tracker = None
     outcome = None
-    with contextlib.ExitStack() as stack:
-        if args.sanitize:
-            from repro.analysis.sanitizer import determinism_sanitizer
+    if args.fault:
+        from repro.faults.report import run_chaos_scenario
 
-            stack.enter_context(determinism_sanitizer())
-        if args.tie_track:
-            from repro.analysis.tierace import TieTracker
-            from repro.simul.core import kernel_overrides
-
-            tracker = TieTracker()
-            stack.enter_context(kernel_overrides(tracker=tracker))
-        if args.fault:
-            from repro.faults.report import run_chaos_scenario
-
-            outcome = run_chaos_scenario(config, **instruments)
-            results = [outcome.baseline, outcome.faulted]
-        else:
-            results = [ExperimentRunner(config).run(**instruments)]
+        outcome = run_chaos_scenario(config, **instruments)
+        results = [outcome.baseline, outcome.faulted]
+    else:
+        results = [ExperimentRunner(config).run(**instruments)]
     result = results[-1]
     rows = [
         ("throughput (events/s)", format_rate(result.throughput)),
@@ -231,11 +218,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(plan.describe())
     _maybe_dump(args, results)
     # Recording happens dead last — after the simulation and every
-    # export — so the sanitizer and determinism checks never see it.
+    # export — so the determinism checks never see it.
     kind = "chaos" if args.fault else "cluster" if args.nodes > 0 else "run"
     _record_results(_open_store(args), results, kind=kind)
-    if tracker is not None and _report_tie_conflicts(tracker):
-        code = 1
     return code
 
 
@@ -329,26 +314,6 @@ def _report_metrics(args: argparse.Namespace, config, telemetry) -> None:
         lambda p: save_metrics_jsonl(scraper, p),
         "metrics timeline",
     )
-
-
-def _report_tie_conflicts(tracker) -> bool:
-    """Print the tie-race report; True when unsuppressed conflicts exist."""
-    kept, suppressed = tracker.apply_pragmas()
-    print(
-        f"tie tracker: {tracker.accesses_recorded} shared-state access(es) "
-        f"recorded, {len(kept)} conflict(s), {len(suppressed)} suppressed"
-    )
-    for conflict in kept:
-        print(f"  CONFIRMED {conflict.describe()}")
-    for conflict in suppressed:
-        print(f"  suppressed {conflict.describe()}")
-    if kept:
-        print(
-            "unsuppressed tie-class conflicts: pop order inside one "
-            "(time, priority) class decides results; fix the ordering or "
-            "add '# crayfish: allow[tie-race]: reason' at an access site"
-        )
-    return bool(kept)
 
 
 def _add_matrix_exec_args(parser: argparse.ArgumentParser) -> None:
@@ -914,13 +879,12 @@ def _cmd_cluster_capacity(args: argparse.Namespace) -> int:
 
 
 def _lint_rule_selection(args: argparse.Namespace) -> list[str]:
-    """Resolve --select/--ignore (and the legacy --only alias) to rule
-    names. Raises ValueError on an unknown rule in either list."""
+    """Resolve --select/--ignore to rule names. Raises ValueError on an
+    unknown rule in either list."""
     from repro.analysis.core import rule_names
 
-    select = args.select or args.only
     known = set(rule_names())
-    base = set(select.split(",")) if select else set(known)
+    base = set(args.select.split(",")) if args.select else set(known)
     ignored = set(args.ignore.split(",")) if args.ignore else set()
     unknown = sorted((base | ignored) - known)
     if unknown:
@@ -1003,12 +967,7 @@ def _cmd_verify_order(args: argparse.Namespace) -> int:
         **_cluster_fields(args),
     )
     engines = SPS_NAMES if args.sps == "all" else (args.sps,)
-    verdicts = verify_order(
-        config,
-        engines=engines,
-        permutations=args.permutations,
-        sanitize=not args.no_sanitize,
-    )
+    verdicts = verify_order(config, engines=engines, permutations=args.permutations)
     rows = []
     for verdict in verdicts:
         if verdict.identical:
@@ -1033,12 +992,19 @@ def _cmd_verify_order(args: argparse.Namespace) -> int:
     hazards = [v.sps for v in verdicts if v.reproducible and not v.identical]
     if nondeterministic:
         print(f"NONDETERMINISM DETECTED in: {', '.join(nondeterministic)}")
+        print(
+            "the sanitizer saw no wall-clock or global-RNG call; look for "
+            "set order, id() or hash() reaching results: crayfish lint "
+            "--select unsorted-iteration,id-ordering,hash-randomization"
+        )
     if hazards:
         print(
             "ORDERING HAZARD: exports depend on event-tie pop order in: "
             + ", ".join(hazards)
         )
-        print("locate the conflicting sites with: crayfish run --tie-track")
+        for verdict in verdicts:
+            if verdict.tie_accesses is not None:
+                _report_tie_conflicts(verdict)
     if nondeterministic or hazards:
         return 1
     print(
@@ -1047,6 +1013,31 @@ def _cmd_verify_order(args: argparse.Namespace) -> int:
         f"{args.permutations} perturbed schedule(s)"
     )
     return 0
+
+
+def _report_tie_conflicts(verdict) -> None:
+    """Print the tie tracker's diagnosis of one ORDER-DEPENDENT engine."""
+    print(
+        f"{verdict.sps}: tie tracker: {verdict.tie_accesses} shared-state "
+        f"access(es) recorded, {len(verdict.conflicts)} conflict(s), "
+        f"{len(verdict.suppressed)} suppressed"
+    )
+    for conflict in verdict.conflicts:
+        print(f"  CONFIRMED {conflict.describe()}")
+    for conflict in verdict.suppressed:
+        print(f"  suppressed {conflict.describe()}")
+    if verdict.conflicts:
+        print(
+            "unsuppressed tie-class conflicts: pop order inside one "
+            "(time, priority) class decides results; fix the ordering or "
+            "add '# crayfish: allow[tie-race]: reason' at an access site"
+        )
+    else:
+        print(
+            "the tracker saw no conflicting Resource/Store access: the "
+            "dependency lies in state it does not observe (attributes, "
+            "streams drawn in order); run crayfish lint"
+        )
 
 
 def _cmd_store_info(args: argparse.Namespace) -> int:
@@ -1258,17 +1249,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_sut_args(run_cmd)
     run_cmd.add_argument("--ir", type=float, default=None, help="input rate; omit to saturate")
-    run_cmd.add_argument(
-        "--sanitize", action="store_true",
-        help="run under the determinism sanitizer: wall-clock and "
-        "global-RNG calls raise instead of corrupting results",
-    )
-    run_cmd.add_argument(
-        "--tie-track", action="store_true", dest="tie_track",
-        help="record shared-state accesses per event-tie class and "
-        "report CONFIRMED pop-order races (nonzero exit when any are "
-        "unsuppressed)",
-    )
     tracing = run_cmd.add_argument_group("tracing (on with --trace)")
     tracing.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -1445,9 +1425,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every rule except these",
     )
     lint_cmd.add_argument(
-        "--only", default=None, help=argparse.SUPPRESS,  # legacy --select alias
-    )
-    lint_cmd.add_argument(
         "--show-suppressed", action="store_true", dest="show_suppressed",
         help="also list findings silenced by pragmas",
     )
@@ -1475,8 +1452,9 @@ def build_parser() -> argparse.ArgumentParser:
     order_cmd = commands.add_parser(
         "verify-order",
         help="determinism and schedule-perturbation proof: re-run each "
-        "engine once unperturbed, then under seeded permutations of "
-        "event-tie pop order, and byte-diff all exports",
+        "engine, sanitized, once unperturbed, then under seeded "
+        "permutations of event-tie pop order, byte-diff all exports, and "
+        "name the conflicting sites when a permutation diverges",
     )
     order_cmd.add_argument(
         "--sps", default="all", choices=SPS_NAMES + ("all",),
@@ -1502,10 +1480,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--permutations", type=_non_negative_int, default=3,
         help="seeded tie-permutation runs per engine after the unperturbed "
         "repeat (0: the dual-run determinism check alone)",
-    )
-    order_cmd.add_argument(
-        "--no-sanitize", action="store_true", dest="no_sanitize",
-        help="skip the runtime sanitizer during the runs",
     )
     order_cmd.set_defaults(func=_cmd_verify_order)
 

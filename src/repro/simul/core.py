@@ -8,7 +8,7 @@ import typing
 from repro.errors import SimulationError
 from repro.simul.events import AllOf, AnyOf, Event, NORMAL, PENDING, Timeout
 from repro.simul.process import Process
-from repro.simul.scheduler import HeapScheduler, PermutedScheduler
+from repro.simul.scheduler import HeapScheduler
 
 
 INFINITY = float("inf")
@@ -16,34 +16,28 @@ INFINITY = float("inf")
 #: Upper bound on Timeout objects kept in the slab pool.
 _TIMEOUT_POOL_CAP = 1024
 
-#: Analysis-mode construction overrides applied to every Environment
-#: built while :func:`kernel_overrides` is active.  This is how the
-#: concurrency analyzer instruments a run without threading knobs
-#: through every layer that creates an Environment: ``perturb_seed``
-#: wraps the scheduler in a seeded
-#: :class:`~repro.simul.scheduler.PermutedScheduler`, and ``tracker``
-#: attaches a tie-race tracker (duck-typed: ``attach``/``on_schedule``/
-#: ``on_pop``/``on_state``).  Both default to off; the hot path pays one
-#: ``is not None`` check.
-_OVERRIDES: dict[str, typing.Any] = {
-    "perturb_seed": None,
-    "tracker": None,
-}
+#: Wraps the scheduler of every Environment built while
+#: :func:`kernel_overrides` is active; None is the bare heap. The
+#: kernel's one analysis seam: ``verify-order`` wraps a seeded
+#: :class:`~repro.simul.scheduler.PermutedScheduler` around it.
+_wrap_scheduler: typing.Callable[[HeapScheduler], typing.Any] | None = None
 
 
 @contextlib.contextmanager
 def kernel_overrides(
-    perturb_seed: int | None = None,
-    tracker: typing.Any = None,
+    wrap_scheduler: typing.Callable[[HeapScheduler], typing.Any] | None,
 ) -> typing.Iterator[None]:
-    """Scope analysis-mode kernel instrumentation to a ``with`` block."""
-    previous = dict(_OVERRIDES)
-    _OVERRIDES["perturb_seed"] = perturb_seed
-    _OVERRIDES["tracker"] = tracker
+    """Build every Environment inside the block on
+    ``wrap_scheduler(HeapScheduler())`` (None: the bare heap); the wrapper
+    keeps the heap's ``push``/``pop``/``peek``/``len`` contract. Inner
+    blocks replace it."""
+    global _wrap_scheduler
+    previous = _wrap_scheduler
+    _wrap_scheduler = wrap_scheduler
     try:
         yield
     finally:
-        _OVERRIDES.update(previous)
+        _wrap_scheduler = previous
 
 
 class Environment:
@@ -57,18 +51,15 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        sched: HeapScheduler | PermutedScheduler = HeapScheduler()
-        if _OVERRIDES["perturb_seed"] is not None:
-            sched = PermutedScheduler(sched, _OVERRIDES["perturb_seed"])
+        sched: typing.Any = HeapScheduler()
+        if _wrap_scheduler is not None:
+            sched = _wrap_scheduler(sched)
         self._sched = sched
         self._push = sched.push
         self._pop = sched.pop
         self._seq = 0
         self._active_process: Process | None = None
         self._timeout_pool: list[Timeout] = []
-        self._tracker = _OVERRIDES["tracker"]
-        if self._tracker is not None:
-            self._tracker.attach(self)
 
     @property
     def now(self) -> float:
@@ -84,8 +75,6 @@ class Environment:
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Queue ``event`` to be processed ``delay`` time units from now."""
         seq = self._seq = self._seq + 1
-        if self._tracker is not None:
-            self._tracker.on_schedule(seq, self._now + delay, priority)
         self._push((self._now + delay, priority, seq, event))
 
     def peek(self) -> float:
@@ -100,8 +89,6 @@ class Environment:
             raise SimulationError("no more events") from None
         self._now = entry[0]
         event = entry[3]
-        if self._tracker is not None:
-            self._tracker.on_pop(entry)
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)

@@ -70,9 +70,6 @@ class Resource:
         return len(self.users)
 
     def request(self) -> Request:
-        tracker = getattr(self.env, "_tracker", None)
-        if tracker is not None:
-            tracker.on_state(self, "resource", "w")
         return Request(self)
 
     def _enqueue(self, request: Request) -> None:
@@ -96,9 +93,6 @@ class Resource:
 
     def release(self, request: Request) -> None:
         """Return a slot; hands it to the longest-waiting request."""
-        tracker = getattr(self.env, "_tracker", None)
-        if tracker is not None:
-            tracker.on_state(self, "resource", "w")
         try:
             self.users.remove(request)
         except ValueError:
@@ -187,9 +181,6 @@ class Store:
 
     def put(self, item: object) -> StorePut:
         """Insert ``item``; the returned event fires once it is buffered."""
-        tracker = getattr(self.env, "_tracker", None)
-        if tracker is not None:
-            tracker.on_state(self, "store", "w")
         event = StorePut(self, item)
         if len(self.items) < self.capacity:
             self.items.append(item)
@@ -201,9 +192,6 @@ class Store:
 
     def try_put(self, item: object) -> bool:
         """Non-blocking insert; returns False when the store is full."""
-        tracker = getattr(self.env, "_tracker", None)
-        if tracker is not None:
-            tracker.on_state(self, "store", "w" if len(self.items) < self.capacity else "r")
         if len(self.items) >= self.capacity:
             return False
         self.items.append(item)
@@ -212,9 +200,6 @@ class Store:
 
     def get(self) -> StoreGet:
         """Remove the oldest item; the event's value is the item."""
-        tracker = getattr(self.env, "_tracker", None)
-        if tracker is not None:
-            tracker.on_state(self, "store", "w")
         event = StoreGet(self)
         if self.items:
             event.succeed(self.items.popleft())
@@ -225,9 +210,6 @@ class Store:
 
     def try_get(self) -> tuple[bool, object]:
         """Non-blocking remove; returns ``(ok, item_or_None)``."""
-        tracker = getattr(self.env, "_tracker", None)
-        if tracker is not None:
-            tracker.on_state(self, "store", "w" if self.items else "r")
         if not self.items:
             return False, None
         item = self.items.popleft()

@@ -43,15 +43,13 @@ def test_verify_determinism_all_four_engines():
 def test_fingerprints_differ_across_seeds():
     """The byte-diff is sensitive: a different seed must change bytes —
     otherwise 'identical' would be vacuously true."""
-    first = run_fingerprints(SMALL, sanitize=False)
-    second = run_fingerprints(
-        dataclasses.replace(SMALL, seed=1), sanitize=False
-    )
+    first = run_fingerprints(SMALL)
+    second = run_fingerprints(dataclasses.replace(SMALL, seed=1))
     assert first["results.json"] != second["results.json"]
 
 
 def test_fingerprints_cover_every_surface():
-    artifacts = run_fingerprints(SMALL, sanitize=False)
+    artifacts = run_fingerprints(SMALL)
     assert set(artifacts) == set(ARTIFACTS)
     assert all(isinstance(v, bytes) and v for v in artifacts.values())
 

@@ -1,10 +1,16 @@
-"""Dynamic tie tracker: planted-race detection, causality, pragmas."""
+"""Dynamic tie tracker: planted-race detection, causality, pragmas,
+scoped installation, and silence on the smoke workloads."""
 
 import pathlib
 
-from repro.analysis.tierace import TIE_RACE_RULE, TieTracker
-from repro.simul.core import Environment, kernel_overrides
-from repro.simul.resources import Store
+import pytest
+
+from repro.analysis.tierace import TIE_RACE_RULE, track_ties
+from repro.config import SPS_NAMES, ExperimentConfig
+from repro.core.runner import ExperimentRunner
+from repro.simul.core import Environment
+from repro.simul.resources import Resource, Store
+from repro.simul.scheduler import HeapScheduler
 
 from tests.analysis.fixtures import planted_race
 
@@ -14,8 +20,7 @@ FIXTURE = str(
 
 
 def _track(scenario):
-    tracker = TieTracker()
-    with kernel_overrides(tracker=tracker):
+    with track_ties() as tracker:
         scenario()
     return tracker
 
@@ -182,10 +187,67 @@ def test_pragma_at_access_site_suppresses(tmp_path):
 
 
 def test_tracker_only_active_inside_override_scope():
-    tracker = TieTracker()
-    with kernel_overrides(tracker=tracker):
+    with track_ties() as tracker:
         pass  # no run inside the scope
     planted_race.run_tie_race()  # outside: must not be observed
     kept, __ = tracker.apply_pragmas()
     assert kept == []
     assert tracker.accesses_recorded == 0
+
+
+def test_track_ties_sees_every_hook_and_restores_on_error():
+    calls = []
+
+    class Probe:
+        def on_schedule(self, entry):
+            calls.append("schedule")
+
+        def on_pop(self, entry):
+            calls.append("pop")
+
+        def on_state(self, obj, kind, mode):
+            calls.append(f"state:{kind}:{mode}")
+
+    watched = [
+        (Resource, "request"),
+        (Resource, "release"),
+        (Store, "put"),
+        (Store, "get"),
+        (Store, "try_put"),
+        (Store, "try_get"),
+    ]
+    originals = [cls.__dict__[name] for cls, name in watched]
+    with pytest.raises(RuntimeError, match="boom"):
+        with track_ties(Probe()):
+            env = Environment()
+            store = Store(env, capacity=1)
+
+            def proc():
+                yield env.timeout(1.0)
+                store.try_put("x")
+                store.try_put("y")  # full: a read
+
+            env.process(proc())
+            env.run(until=2.0)
+            raise RuntimeError("boom")
+    assert "schedule" in calls
+    assert "pop" in calls
+    assert calls.count("state:store:w") == 1
+    assert calls.count("state:store:r") == 1
+    assert [cls.__dict__[name] for cls, name in watched] == originals
+    assert type(Environment()._sched) is HeapScheduler
+
+
+# -- smoke workloads ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("sps", SPS_NAMES)
+def test_tracker_silent_on_smoke_workloads(sps):
+    """Every engine's low-load smoke run has no unsuppressed tie-class
+    conflict, and the tracker did watch it."""
+    config = ExperimentConfig(sps=sps, serving="onnx", model="ffnn", ir=60.0, duration=1.5)
+    with track_ties() as tracker:
+        ExperimentRunner(config).run()
+    kept, __ = tracker.apply_pragmas()
+    assert kept == [], [c.describe() for c in kept]
+    assert tracker.accesses_recorded > 0

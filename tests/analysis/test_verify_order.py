@@ -17,13 +17,10 @@ SMALL = ExperimentConfig(
 def test_engine_order_independent(sps):
     """Seeded permutations of tie-class pop order must not move a single
     export byte."""
-    verdict = verify_engine_order(
-        dataclasses.replace(SMALL, sps=sps),
-        permutations=2,
-        sanitize=False,
-    )
+    verdict = verify_engine_order(dataclasses.replace(SMALL, sps=sps), permutations=2)
     assert verdict.identical, f"{sps} order-dependent: {verdict.mismatched}"
     assert [p.seed for p in verdict.permutations] == [None, 1, 2]
+    assert verdict.tie_accesses is None  # the tracker reruns only on a diff
 
 
 def test_clustered_two_nodes_order_independent():
@@ -35,7 +32,7 @@ def test_clustered_two_nodes_order_independent():
         use_broker=True,
         partitions=32,
     )
-    verdict = verify_engine_order(config, permutations=2, sanitize=False)
+    verdict = verify_engine_order(config, permutations=2)
     assert verdict.identical, f"clustered mismatch: {verdict.mismatched}"
 
 
@@ -44,18 +41,13 @@ def test_verify_order_covers_requested_engines():
         dataclasses.replace(SMALL, duration=0.4),
         engines=("flink", "ray"),
         permutations=1,
-        sanitize=False,
     )
     assert [v.sps for v in verdicts] == ["flink", "ray"]
     assert all(v.identical for v in verdicts)
 
 
 def test_verdict_reports_baseline_digests():
-    verdict = verify_engine_order(
-        dataclasses.replace(SMALL, duration=0.4),
-        permutations=1,
-        sanitize=False,
-    )
+    verdict = verify_engine_order(dataclasses.replace(SMALL, duration=0.4), permutations=1)
     names = [name for name, __ in verdict.baseline]
     assert "results.json" in names
     assert all(len(digest) == 64 for __, digest in verdict.baseline)
@@ -71,10 +63,27 @@ def test_mismatch_is_detectable():
     run's artifacts must NOT come out identical."""
     from repro.analysis.order import run_fingerprints
 
-    first = run_fingerprints(
-        dataclasses.replace(SMALL, duration=0.4), sanitize=False
-    )
-    second = run_fingerprints(
-        dataclasses.replace(SMALL, duration=0.4, seed=3), sanitize=False
-    )
+    first = run_fingerprints(dataclasses.replace(SMALL, duration=0.4))
+    second = run_fingerprints(dataclasses.replace(SMALL, duration=0.4, seed=3))
     assert first["results.json"] != second["results.json"]
+
+
+def test_known_load_hazard_is_diagnosed():
+    """Pins a known tie-order hazard at load (docs/ordering.md): Ray's
+    per-node scheduler slot is requested by two scoring actors in one
+    tie class. The permutation moves the published results, and the
+    tracker's rerun names the request site. Fixing it moves exported
+    bits, so it needs its own change that re-blesses the goldens."""
+    config = ExperimentConfig(
+        sps="ray", serving="tf_serving", model="ffnn", mp=2, ir=500.0, duration=0.5
+    )
+    verdict = verify_engine_order(config, permutations=1)
+    assert verdict.reproducible
+    assert "results.json" in verdict.permutations[1].mismatched
+    assert verdict.tie_accesses
+    sites = {
+        str(site.path).replace("\\", "/")
+        for conflict in verdict.conflicts
+        for site in (conflict.site_a, conflict.site_b)
+    }
+    assert any(path.endswith("sps/ray_actors/engine.py") for path in sites), sites

@@ -92,9 +92,7 @@ def test_traces_attribute_spans_to_nodes():
 
 def test_clustered_runs_are_byte_identical():
     config = _config(ir=80.0, duration=1.0)
-    verdicts = verify_order(
-        config, engines=("flink",), permutations=0, sanitize=True
-    )
+    verdicts = verify_order(config, engines=("flink",), permutations=0)
     assert all(v.identical for v in verdicts), [v.mismatched for v in verdicts]
 
 

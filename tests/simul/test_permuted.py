@@ -109,35 +109,30 @@ def test_permuted_len_counts_pooled_entries():
 # -- kernel_overrides --------------------------------------------------------
 
 
+def _permuted(seed):
+    return lambda base: PermutedScheduler(base, seed=seed)
+
+
 def test_kernel_overrides_scopes_perturbation_and_restores():
-    with kernel_overrides(perturb_seed=3):
+    with kernel_overrides(_permuted(3)):
         assert isinstance(Environment()._sched, PermutedScheduler)
     assert isinstance(Environment()._sched, HeapScheduler)
 
 
 def test_kernel_overrides_nesting_restores_outer():
-    class Probe:
-        def attach(self, env):
-            pass
-
-    tracker = Probe()
-    with kernel_overrides(perturb_seed=3):
-        with kernel_overrides(tracker=tracker):
-            inner = Environment()
-            assert isinstance(inner._sched, HeapScheduler)
-            assert inner._tracker is tracker
-        outer = Environment()
-        assert isinstance(outer._sched, PermutedScheduler)
-        assert outer._tracker is None
-    assert Environment()._tracker is None
+    with kernel_overrides(_permuted(3)):
+        with kernel_overrides(None):
+            assert isinstance(Environment()._sched, HeapScheduler)
+        assert isinstance(Environment()._sched, PermutedScheduler)
+    assert isinstance(Environment()._sched, HeapScheduler)
 
 
 def test_kernel_overrides_perturbed_run_preserves_order_free_results():
     """An order-free workload must land on identical state under any
     permutation seed — the harness's soundness direction."""
 
-    def run(seed=None):
-        with kernel_overrides(perturb_seed=seed):
+    def run(wrap):
+        with kernel_overrides(wrap):
             env = Environment()
             done = []
 
@@ -152,36 +147,7 @@ def test_kernel_overrides_perturbed_run_preserves_order_free_results():
         return sorted(done)
 
     baseline = run(None)
-    assert baseline and all(run(seed) == baseline for seed in (1, 2, 3))
-
-
-def test_kernel_overrides_tracker_receives_hooks():
-    calls = []
-
-    class Probe:
-        def attach(self, env):
-            calls.append("attach")
-
-        def on_schedule(self, seq, time, priority):
-            calls.append("schedule")
-
-        def on_pop(self, entry):
-            calls.append("pop")
-
-        def on_state(self, obj, kind, mode):
-            calls.append("state")
-
-    with kernel_overrides(tracker=Probe()):
-        env = Environment()
-
-        def proc():
-            yield env.timeout(1.0)
-
-        env.process(proc())
-        env.run(until=2.0)
-    assert "attach" in calls
-    assert "schedule" in calls
-    assert "pop" in calls
+    assert baseline and all(run(_permuted(seed)) == baseline for seed in (1, 2, 3))
 
 
 # -- abandoned-condition regression -----------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.simul import Environment
 from repro.simul.core import kernel_overrides
+from repro.simul.scheduler import PermutedScheduler
 
 INF = float("inf")
 NAN = float("nan")
@@ -15,7 +16,7 @@ def env(request):
     """A plain kernel and one under the tie-permuting scheduler."""
     if request.param == "heap":
         return Environment()
-    with kernel_overrides(perturb_seed=3):
+    with kernel_overrides(lambda base: PermutedScheduler(base, seed=3)):
         return Environment()
 
 
