@@ -74,6 +74,8 @@ class BrokerCluster:
         self.metrics = metrics
         self._topics: dict[str, Topic] = {}
         self._span_names: dict[str, _SpanNames] = {}
+        # (topic, partition, client node) -> its append path, see _route.
+        self._routes: dict[tuple[str, int, str | None], tuple] = {}
         # Active partition outages: producers block on the gate event
         # until the partition's leadership is restored.
         self._outages: dict[tuple[str, int], Event] = {}
@@ -153,6 +155,20 @@ class BrokerCluster:
             return {}
         return {"node": self.placement.node_of_partition(partition)}
 
+    def _route(self, topic: str, partition: int, client_node: str | None) -> tuple:
+        """The append path one client takes to one partition, resolved on
+        its first append (none of it changes during a run): the partition
+        log, the owning broker, the link, the span names, the outage key
+        and the node span attrs."""
+        return (
+            self.topic(topic).partition(partition),
+            self.broker_for(topic, partition),
+            self._link_for(partition, client_node),
+            self._span_names[topic],
+            (topic, partition),
+            self._node_attrs(partition),
+        )
+
     # -- data path -----------------------------------------------------
 
     def append(
@@ -174,25 +190,24 @@ class BrokerCluster:
                 f"{nbytes:.0f} B exceeds max.request.size "
                 f"{self.max_request_bytes:.0f} B"
             )
-        log = self.topic(topic).partition(partition)
-        names = self._span_names[topic]
+        key = (topic, partition, client_node)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._route(topic, partition, client_node)
+        log, broker, link, names, outage_key, attrs = route
         # An unavailable partition has no leader to accept the write: the
         # producer's delivery blocks until the outage ends (librdkafka-style
         # internal retries, collapsed into one wait).
         while True:
-            gate = self._outages.get((topic, partition))
+            gate = self._outages.get(outage_key)
             if gate is None:
                 break
             span = self.tracer.begin(value, names.unavailable)
             yield gate
             self.tracer.end(span)
-        attrs = self._node_attrs(partition)
         span = self.tracer.begin(value, names.send, **attrs)
-        yield self.env.service_timeout(
-            self._link_for(partition, client_node).transfer_time(nbytes)
-        )
+        yield self.env.service_timeout(link.transfer_time(nbytes))
         self.tracer.end(span)
-        broker = self.broker_for(topic, partition)
         wait = self.tracer.begin(value, names.append_wait, **attrs)
         with broker.request() as req:
             yield req

@@ -155,7 +155,9 @@ class Environment:
     def timeout(self, delay: float, value: object = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def service_timeout(self, delay: float, value: object = None) -> Timeout:
+    def service_timeout(
+        self, delay: float, value: object = None, then: float | None = None
+    ) -> Timeout:
         """A slab-recycled :class:`Timeout` for fire-and-forget waits.
 
         Contract: the returned event must be yielded (awaited) directly
@@ -165,19 +167,36 @@ class Environment:
         may hand out the very same instance.  Scheduling order and the
         observed value are identical to :meth:`timeout`; only the
         allocation is elided.
+
+        ``then`` chains a second wait onto the first: the event fires
+        once, at ``(now + delay) + then``, the float time that waiting
+        ``delay`` and then ``then`` would reach. Chain only waits of one
+        process with nothing observed between them.
         """
-        pool = self._timeout_pool
-        if not pool:
-            timeout = Timeout(self, delay, value)
-            timeout._slab = True
-            return timeout
         if not delay >= 0:
+            # Negative or NaN: a NaN key would silently break heap order.
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
-        timeout = pool.pop()
-        timeout.callbacks = []
-        timeout._value = value
+        at = self._now + delay
+        if then is not None:
+            if not then >= 0:
+                raise SimulationError(f"timeout delay must be >= 0, got {then}")
+            at += then
+            delay += then  # for the repr only
+        pool = self._timeout_pool
+        if pool:
+            timeout = pool.pop()
+            timeout.callbacks = []
+            timeout._value = value
+        else:
+            # A new slab member: Timeout.__init__ would schedule it at
+            # now + delay, so build it bare.
+            timeout = Timeout.__new__(Timeout)
+            Event.__init__(timeout, self)
+            timeout._value = value
+            timeout._slab = True
         timeout.delay = delay
-        self.schedule(timeout, NORMAL, delay)
+        seq = self._seq = self._seq + 1
+        self._push((at, NORMAL, seq, timeout))
         return timeout
 
     def process(self, generator: typing.Generator) -> Process:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import typing
 
 from repro.errors import SimulationError
-from repro.simul.events import Event, NORMAL, PENDING, URGENT
+from repro.simul.events import Event, PENDING, URGENT
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simul.core import Environment
@@ -19,11 +19,19 @@ class Interrupt(Exception):
         self.cause = cause
 
 
+#: What a new process's first segment resumes on: a processed success
+#: whose value, None, is the generator's first ``send``.
+_START = Event(typing.cast("Environment", None))
+_START._value = None
+_START.callbacks = None
+
+
 class Process(Event):
     """Wraps a generator so it can be driven by the event loop.
 
     The process itself is an event that fires when the generator returns
-    (its value is the generator's return value) or raises.
+    (its value is the generator's return value) or raises. Its first
+    segment runs during construction, inside the spawning step.
     """
 
     __slots__ = ("_generator", "_target", "_defused")
@@ -35,13 +43,12 @@ class Process(Event):
         self._generator = generator
         self._target: Event | None = None
         self._defused = False
-        # Kick off the process at the current time via an initialisation
-        # event so processes never run code during their own construction.
-        init = Event(env)
-        init._ok = True
-        init._value = None
-        env.schedule(init, URGENT)
-        init.callbacks.append(self._resume)
+        # Start in place: the first segment, up to the first yield of an
+        # unprocessed event, runs inside the spawning step, as a direct
+        # call would. The spawner then continues as the active process.
+        spawner = env._active_process
+        self._resume(_START)
+        env._active_process = spawner
 
     @property
     def is_alive(self) -> bool:
@@ -51,7 +58,11 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if not self.is_alive:
             raise SimulationError("cannot interrupt a dead process")
-        if self is self.env.active_process:
+        if self is self.env.active_process or getattr(
+            self._generator, "gi_running", False
+        ):
+            # Running, not parked: its own code is calling, or a process
+            # it spawned in this step, whose first segment runs in place.
             raise SimulationError("a process cannot interrupt itself")
         event = Event(self.env)
         event._ok = False
@@ -103,7 +114,7 @@ class Process(Event):
                 # The generator chose not to handle the interrupt; treat it
                 # as a normal termination failure.
                 self.env._active_process = None
-                if not event.ok:
+                if not event._ok:
                     # Death by an externally thrown interrupt means the
                     # interruptor deliberately abandoned this process;
                     # the failure must not escalate out of the loop.

@@ -183,8 +183,11 @@ class Store:
         """Insert ``item``; the returned event fires once it is buffered."""
         event = StorePut(self, item)
         if len(self.items) < self.capacity:
+            # Room now: the put is processed in place, like an
+            # uncontended request, so ``yield put`` continues this step.
             self.items.append(item)
-            event.succeed()
+            event._value = None
+            event.callbacks = None
             self._dispatch_getters()
         else:
             self._putters.append(event)

@@ -25,6 +25,7 @@ from repro import calibration as cal
 from repro.sps.api import DataProcessor
 from repro.sps.gateways import InputEvent
 from repro.simul import Resource, Store
+from repro.tracing.spans import chained_stages
 
 #: Capacity of each inter-stage exchange queue (buffer pool slots).
 EXCHANGE_CAPACITY = 64
@@ -110,11 +111,28 @@ class FlinkProcessor(DataProcessor):
             + self._buffer_penalty(event.nbytes)
         ) * self.slowdown
 
-    def _score(self, event: InputEvent) -> typing.Generator:
+    def _score(
+        self, event: InputEvent, source: float | None = None
+    ) -> typing.Generator:
         """Returns the scoring result; ``None`` means the resilience layer
-        shed the request and the event must not reach the sink."""
-        span = self.tracer.begin(event.batch, "flink.score")
-        yield self.env.service_timeout(self.profile.score_overhead * self.slowdown)
+        shed the request and the event must not reach the sink.
+
+        ``source`` is the chained source's cost, paid here in the same
+        kernel event as the score overhead."""
+        overhead = self.profile.score_overhead * self.slowdown
+        if source is None:
+            span = self.tracer.begin(event.batch, "flink.score")
+            yield self.env.service_timeout(overhead)
+        else:
+            span = yield from chained_stages(
+                self.env,
+                self.tracer,
+                event.batch,
+                "flink.source",
+                source,
+                "flink.score",
+                overhead,
+            )
         result = yield from self.tool.score(event.batch.points, ctx=event.batch)
         self.tracer.end(span)
         return result
@@ -142,16 +160,16 @@ class FlinkProcessor(DataProcessor):
             polled_at = self.env.now
             for event in events:
                 self.tracer.record(event.batch, "flink.task_queue", start=polled_at)
-                span = self.tracer.begin(event.batch, "flink.source")
-                yield self.env.service_timeout(self._source_cost(event))
-                self.tracer.end(span)
                 if inflight is None:
-                    result = yield from self._score(event)
+                    result = yield from self._score(event, self._source_cost(event))
                     if result is None:
                         self.batches_shed += 1
                         continue
                     yield from self._sink(event)
                 else:
+                    span = self.tracer.begin(event.batch, "flink.source")
+                    yield self.env.service_timeout(self._source_cost(event))
+                    self.tracer.end(span)
                     # Async I/O: park the request with a capacity-bounded
                     # in-flight window; the task moves on to the next event.
                     wait = self.tracer.begin(event.batch, "flink.async_wait")

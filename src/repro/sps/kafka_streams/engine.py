@@ -16,6 +16,7 @@ import typing
 from repro import calibration as cal
 from repro.sps.api import DataProcessor
 from repro.sps.gateways import InputEvent
+from repro.tracing.spans import chained_stages
 
 
 class KafkaStreamsProcessor(DataProcessor):
@@ -66,11 +67,16 @@ class KafkaStreamsProcessor(DataProcessor):
     def _process_one(self, event: InputEvent) -> typing.Generator:
         batch = event.batch
         consume = (self.profile.source_overhead + self.decode_cost(batch)) * self.slowdown
-        span = self.tracer.begin(batch, "kafka_streams.consume")
-        yield self.env.service_timeout(consume)
-        self.tracer.end(span)
-        span = self.tracer.begin(batch, "kafka_streams.score")
-        yield self.env.service_timeout(self.profile.score_overhead * self.slowdown)
+        # Consume, then the score operator's overhead: one kernel event.
+        span = yield from chained_stages(
+            self.env,
+            self.tracer,
+            batch,
+            "kafka_streams.consume",
+            consume,
+            "kafka_streams.score",
+            self.profile.score_overhead * self.slowdown,
+        )
         result = yield from self.tool.score(batch.points, ctx=batch)
         self.tracer.end(span)
         if result is None:  # shed by the resilience layer

@@ -31,11 +31,13 @@ traces once reached — spans of unsampled records are never stored.
 from __future__ import annotations
 
 import array
+import collections
 import dataclasses
 import math
 import typing
 
 from repro.errors import ConfigError
+from repro.simul.process import Interrupt
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simul import Environment
@@ -131,7 +133,7 @@ class NullTracer:
     def context_of(self, obj: typing.Any) -> None:
         return None
 
-    def begin(self, obj, name, parent=None, **attrs) -> None:
+    def begin(self, obj, name, parent=None, start=None, **attrs) -> None:
         return None
 
     def end(self, span, **attrs) -> None:
@@ -198,9 +200,17 @@ class Tracer:
         # Trace id -> row of its root span, in admission order.
         self._root_row: dict[int, int] = {}
         self._marks: dict[tuple[int, str], float] = {}
-        # Query cache (trace id -> rows, trace id -> views); any write
-        # drops it.
-        self._cache: tuple[dict[int, list[int]], dict[int, list[Span]]] | None = None
+        # Stage pairs written ahead by chained_stages, oldest first:
+        # (handoff time, first row, second row). Until the clock reaches
+        # the handoff, views show the first open and the second unbegun.
+        self._ahead: collections.deque[tuple[float, int, int]] = collections.deque()
+        # Second rows of chains interrupted before their handoff.
+        self._cut: set[int] = set()
+        # Query cache (clock, trace id -> rows, trace id -> views, rows
+        # still open at the clock); any write, or a new clock, drops it.
+        self._cache: (
+            tuple[float, dict[int, list[int]], dict[int, list[Span]], set[int]] | None
+        ) = None
 
     # -- admission -------------------------------------------------------
 
@@ -255,13 +265,17 @@ class Tracer:
         obj: typing.Any,
         name: str,
         parent: int | None = None,
+        start: float | None = None,
         **attrs: typing.Any,
     ) -> int | None:
-        """Open a span now; returns its id, or None for unsampled subjects."""
+        """Open a span at ``start`` (default: now); returns its id, or
+        None for unsampled subjects."""
         ctx = self.context_of(obj)
         if ctx is None:
             return None
-        return self._append(ctx.trace_id, name, self.env.now, _OPEN, parent, attrs)
+        if start is None:
+            start = self.env.now
+        return self._append(ctx.trace_id, name, start, _OPEN, parent, attrs)
 
     def end(self, span: int | None, **attrs: typing.Any) -> None:
         """Close a span now (None-safe)."""
@@ -290,6 +304,22 @@ class Tracer:
         if end < start:
             raise ValueError(f"span {name!r}: end {end} before start {start}")
         return self._append(ctx.trace_id, name, start, end, parent, attrs)
+
+    def _write_ahead(self, handoff: float, first: int, second: int) -> None:
+        """Hold back two spans :func:`chained_stages` wrote ahead of the
+        clock: ``first`` ends and ``second`` begins at ``handoff``."""
+        ahead = self._ahead
+        now = self.env.now
+        while ahead and ahead[0][0] <= now:
+            ahead.popleft()
+        ahead.append((handoff, first - 1, second - 1))
+
+    def _cut_ahead(self, first: int, second: int) -> None:
+        """A chain interrupted before its handoff: ``first`` stays open
+        and ``second`` never begins."""
+        self._end[first - 1] = _OPEN
+        self._cut.add(second - 1)
+        self._cache = None
 
     # -- marks: measure waits across process boundaries ------------------
 
@@ -348,19 +378,34 @@ class Tracer:
         )
 
     def _views(self, trace_id: int) -> list[Span]:
-        """The cached views of one trace, root first, in recording order."""
-        if self._cache is None:
+        """The cached views of one trace, root first, in recording order.
+
+        Spans :func:`chained_stages` wrote ahead show as of the clock: a
+        second stage the clock has not reached is left out, and the
+        first stage before it is still open.
+        """
+        now = self.env.now
+        if self._cache is None or self._cache[0] != now:
+            unbegun = set(self._cut)
+            unended = set()
+            for handoff, first, second in self._ahead:
+                if handoff > now:
+                    unended.add(first)
+                    unbegun.add(second)
             rows: dict[int, list[int]] = {t: [] for t in self._root_row}
             for row, owner in enumerate(self._trace):
-                rows[owner].append(row)
-            self._cache = (rows, {})
-        rows, views = self._cache
+                if row not in unbegun:
+                    rows[owner].append(row)
+            self._cache = (now, rows, {}, unended)
+        __, rows, views, unended = self._cache
         built = views.get(trace_id)
         if built is None:
-            built = views[trace_id] = [self._view(row) for row in rows[trace_id]]
+            built = views[trace_id] = [
+                self._view(row, row in unended) for row in rows[trace_id]
+            ]
         return built
 
-    def _view(self, row: int) -> Span:
+    def _view(self, row: int, unended: bool) -> Span:
         trace_id = self._trace[row]
         parent = self._parent.get(row)
         root_row = self._root_row[trace_id]
@@ -373,7 +418,7 @@ class Tracer:
             parent,
             self._name[row],
             start=self._start[row],
-            end=None if math.isnan(end) else end,
+            end=None if unended or math.isnan(end) else end,
             attrs=self._attrs.get(row),
         )
 
@@ -389,11 +434,49 @@ class Tracer:
         if not 0 < span_id <= len(self._name):
             raise KeyError(span_id)
         views = self._views(self._trace[span_id - 1])
-        return next(view for view in views if view.span_id == span_id)
+        for view in views:
+            if view.span_id == span_id:
+                return view
+        raise KeyError(span_id)  # a second stage the clock has not reached
 
     @property
     def span_count(self) -> int:
         return len(self._name)
+
+
+def chained_stages(
+    env: "Environment",
+    tracer: typing.Any,
+    obj: typing.Any,
+    first: str,
+    first_wait: float,
+    second: str,
+    second_wait: float,
+) -> typing.Generator:
+    """Coroutine: spend ``first_wait`` in stage ``first``, then
+    ``second_wait`` in stage ``second``, as one kernel event
+    (``service_timeout(first_wait, then=second_wait)``). Returns the id
+    of ``second``'s span, still open for the caller to end.
+
+    Both spans are written at once, with the floats two sequential waits
+    would give them: ``first`` closed at the handoff, ``second`` open
+    from it. Views show them as of the clock, and an interrupt before
+    the handoff leaves ``first`` open and ``second`` unbegun, so they
+    match the sequential waits' views.
+    """
+    handoff = env.now + first_wait
+    head = tracer.record(obj, first, start=env.now, end=handoff)
+    span = None
+    if head is not None:
+        span = tracer.begin(obj, second, start=handoff)
+        tracer._write_ahead(handoff, head, span)
+    try:
+        yield env.service_timeout(first_wait, then=second_wait)
+    except Interrupt:
+        if head is not None and env.now < handoff:
+            tracer._cut_ahead(head, span)
+        raise
+    return span
 
 
 def make_tracer(env: "Environment", trace: typing.Any) -> Tracer | NullTracer:

@@ -10,11 +10,19 @@ updates the digests here and says why.
 To print the current digests (e.g. after a deliberate export change)::
 
     PYTHONPATH=src python tests/tracing/test_export_golden.py
+
+Span ids come from one counter shared by every trace, so a change that
+reorders work across records (not within one) renumbers them and moves
+the ``csv`` digest alone. :data:`ID_FREE_CSV` pins each case's span CSV
+with its ids replaced by their rank within the trace: a ``csv`` digest
+may be re-blessed only while that one stays equal.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -71,19 +79,55 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def export_digests(case: str) -> dict[str, str]:
-    """sha256 of every export of one traced run."""
+def _traced_run(case: str):
     fields, trace = CASES[case]
-    result = ExperimentRunner(ExperimentConfig(**fields)).run(trace=trace)
-    tracer = result.trace
+    return ExperimentRunner(ExperimentConfig(**fields)).run(trace=trace).trace
+
+
+def _span_csv(tracer) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "spans.csv")
         save_spans_csv(tracer, path)
         with open(path, newline="") as handle:
-            csv_text = handle.read()
+            return handle.read()
+
+
+def rank_span_ids(csv_text: str) -> str:
+    """The span CSV with ``span_id`` and ``parent_id`` replaced by their
+    rank among the ids the trace's rows mention (1 = lowest)."""
+    rows = list(csv.DictReader(io.StringIO(csv_text)))
+    ids: dict[str, set[int]] = {}
+    for row in rows:
+        mentioned = ids.setdefault(row["trace_id"], set())
+        mentioned.add(int(row["span_id"]))
+        if row["parent_id"]:
+            mentioned.add(int(row["parent_id"]))
+    ranks = {
+        trace: {span: rank for rank, span in enumerate(sorted(spans), 1)}
+        for trace, spans in ids.items()
+    }
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in rows:
+        rank = ranks[row["trace_id"]]
+        row["span_id"] = rank[int(row["span_id"])]
+        if row["parent_id"]:
+            row["parent_id"] = rank[int(row["parent_id"])]
+        writer.writerow(row.values())
+    return out.getvalue()
+
+
+def id_free_csv_digest(case: str) -> str:
+    return _sha(rank_span_ids(_span_csv(_traced_run(case))))
+
+
+def export_digests(case: str) -> dict[str, str]:
+    """sha256 of every export of one traced run."""
+    fields, __ = CASES[case]
+    tracer = _traced_run(case)
     digests = {
         "chrome": _sha(json.dumps(chrome_trace(tracer), sort_keys=True)),
-        "csv": _sha(csv_text),
+        "csv": _sha(_span_csv(tracer)),
         "breakdown": _sha(format_breakdown(tracer)),
         "ranking": _sha(repr(bottleneck_ranking(tracer, top=3))),
     }
@@ -96,71 +140,87 @@ def export_digests(case: str) -> dict[str, str]:
 GOLDEN: dict[str, dict[str, str]] = {
     "cluster-3n": {
         "chrome": "d61c67555b192e7b4060c4250ecc33f658b3c886d1309e06d56b0cebf8f6b4a7",
-        "csv": "bb1eee95e591abccf241946b8d6a54649acfc01c527394f74af78ee5619da7d9",
+        "csv": "eb235bf43a74318d435d93a12f55e5d3107c294be1d45dc08d76b1e3419e7a43",
         "breakdown": "f241d50990f98d50ddda9e0a3d72ebe9b051a068005f8ae6fa5b563a2bbe369e",
         "ranking": "128d3c62220c672aa6f2cb5cbdbf95a19b368d30996ce0534f32bc0870ae4802",
         "nodes": "2bf1f590cb9bed91b564271dd360d70a407653b7644954fba6371858a1c54898",
     },
     "flink-onnx": {
         "chrome": "18211e652780bf6b516ef660ddcf66973a787cbb567c351ca88e919bf1ba054b",
-        "csv": "97cce11accf842620f72a84cf6761c545a969bdbddecfe8e27038172fd75a8fe",
+        "csv": "5138a4f43dbaf445660d1abf66611fd0eb95e15204ca7f07cfd5842633802cb9",
         "breakdown": "2148777509e0c5d5e07a27e704568fde25cc4773d449c6b50f69dfa9f343355d",
         "ranking": "22679f6cc22f438fd3774a0006037dd6e7f00d855f1ada469647652850ad7a60",
     },
     "flink-tf_serving": {
         "chrome": "6acbe3994f4d9ed4db3f779378e9dda280de5fff83b0fbe1deba0a2a53084b34",
-        "csv": "95e85c36120dac163a6ac12833fd479c8882ed6d618a4671a80a1aa406af4b01",
+        "csv": "88be7260e126e4821c7a192fda7985258614100705bf731b02c508926c02dd34",
         "breakdown": "d15f941217e85fa5f2562f37e852ffea1f3bddffb834753c5c1c4ce49726ad5d",
         "ranking": "fecf473ac009a2932a37a33ce05db217f5c10bcdbe7f3e24f607409cab5d0ffd",
     },
     "kafka_streams-onnx": {
         "chrome": "cfdb97bba40624a086b73bd7d1677ca4055f9f11d375ff7f0228425f1443da0b",
-        "csv": "2ff6cdb4ab4f7f0ddc4ea83b4a03e4e980e747d4c42c1ead42f7c868ec2e734a",
+        "csv": "b4ef18e196038539dde1dee2fc9f411e6265e9b18abe9c8e001bbbd3eafce9b0",
         "breakdown": "b05f77e27c955f677fbc1e23d7b8336f4da57cea50394bd7a28c0dd10885368b",
         "ranking": "941d65157bbb5b75d0d69ff7d81eabe420d67607d5b89c5a78dd876e87cc2222",
     },
     "kafka_streams-tf_serving": {
         "chrome": "7700ba38e128c71ff9f066927e1d0440ea06124c75ebb0417c1ae87d2e5b55f6",
-        "csv": "f4d89cfcba34bcdca6a29e3dee02fdb222f243c6fbbae67155dee802b886e431",
+        "csv": "ccf87ba708ad0f3a36fa39c6780bd63921ad131e1ccf2d4dd23d1a891cb42c9f",
         "breakdown": "3b4bcfd5fb07b01a27ab29af44a6142d65ddc56e7e00ef4c8cb96ddec32a4970",
         "ranking": "e8e8b0b93cf3d578695f09cb6454eab6e85038889c186e793c231e3eb4186012",
     },
     "ray-onnx": {
         "chrome": "c30f2575c49f3730d45f14eda9e0575ae8cddbddfe18578fef3cf39ed0b33d2a",
-        "csv": "ca62b53460c51bc3c21d0f8fc66e927380d5595c59a54eade03e1bf85e166e7c",
+        "csv": "5e943bc79ac833bf1ac3ecfac8c2feabdf9f5713730d255bb7f10fc771ccfa62",
         "breakdown": "009899b03d3825d2ced14175b8ddd1336d791172cf6622a1764ecda4f719e62a",
         "ranking": "ed3beecf63b2d7f1748ffd7510a886b64004cc1b71e5599f8145f9fe527e9d52",
     },
     "ray-tf_serving": {
         "chrome": "6d3a91dfcd80e3850389e2dee2fa604f3fca43e17ef05509e70f02fef22eab2a",
-        "csv": "7d9a187f115918079791a70eae683c043bc7a92c861879dfce61e3af239abb3f",
+        "csv": "196f2a93e454a22249bda325db625997df8adc1e6da16239526b8c26448b6597",
         "breakdown": "a39b16afcd126a17b7b8fc9c85f03c721dd87b975730d7f76cc10db91e47bba1",
         "ranking": "a3ac0093a36d06d2be6ba4b1cfebd124ac0082033eba2e48ff85229406746f51",
     },
     "sampled": {
         "chrome": "fcc5d5986f5d78b2ba46bab0ee7975e742b28ad557d6948bd0e0eac619efa0a4",
-        "csv": "d369096ac9f2c84b3196cd4e3f86411ce183c9b12d859cf71aeb39725a03cc8c",
+        "csv": "3cccfa828da961208e33495991f6d2a91a9fea18fc2a5586039940215cd9c0fa",
         "breakdown": "e4dcbabb54b84556bab9b652105dbe885a07ee643322ea47d686eaa5886ec594",
         "ranking": "bc76002c8550d620646245ba5b302163ecfabbab6cef87eb37158638efcf39e8",
     },
     "server-crash": {
         "chrome": "40d63bf64b2faedc73dea6cb85ddaa30867c722a9f75908c0d4951ff6847af09",
-        "csv": "788bd64b5f6f2977048bee5b7ebbdf8d3fc6b55a430c3dbda5635fdd28036d64",
+        "csv": "0c05acca926cae7f737c5d4891b361a443e9bdf8506f355dd940250ae4d3c883",
         "breakdown": "b3b278b07b63fc6eb66a166ab8dfa2ebcec0e616acc26cf878915a0e7203cc1e",
         "ranking": "e08f3cec22853d76529af291c612a50b13ba1b2bcb5ecc28779e11d7324ea9f0",
     },
     "spark_ss-onnx": {
         "chrome": "893210866991e01dc27f8d33e4dc6c92c22f94afe0a9f7ad02611b2c9455fd13",
-        "csv": "208fbc6f82fe7af398a0329b4daceec045b920251240ae52784cd2213d7962f3",
+        "csv": "48bc14160014307927224afd0b7b63adfb0e60975fe4943e7c6b3a85c3d8148e",
         "breakdown": "1682070bbe8bc2bc3fe5ce7c06a1f00cab98f87f8db8396a56584d9db3a493e1",
         "ranking": "e64d548dd39a9948daf4c625aed17db9908ef412dae3fda560d612d7618bf162",
     },
     "spark_ss-tf_serving": {
         "chrome": "32ef005cc7809c07aa6616b057bb980d39ae80a987b30c93e1f2da17a308f924",
-        "csv": "8d2baa495b80c07a9600c4d91a15381408d4755b77067e8592d7400a4f074580",
+        "csv": "94258fcaefd7f5bfe7f73478a2d0aaf35c5812736f14498ad120ac23457ccbd9",
         "breakdown": "a42605b6baa894e1522ba2a0155c91a8c07a60f0b3bacc0c45dbc7fe441e4f2d",
         "ranking": "8f12fd009c5577612c1c57b568cf488dd267298a032ae3221bb497e9ca086fc4",
     },
+}
+
+
+#: sha256 of each case's span CSV under :func:`rank_span_ids`.
+ID_FREE_CSV: dict[str, str] = {
+    "cluster-3n": "f6830d3d9c382713f4e3afab3f687a26f853e910183cee0bd32ab56607a84393",
+    "flink-onnx": "b8c25c1c6760bd3d040f828798bd23e6cedee5120016021c57bd5cf6f0d116a3",
+    "flink-tf_serving": "0aba5d605cad2c68190d5021cdffcb317705b5f999cd143a709bb695d6e97a11",
+    "kafka_streams-onnx": "9accc156e116e7b73dfa76d4fa84732961d21e619e03c89791cddaf0d432e3c9",
+    "kafka_streams-tf_serving": "cf445e3ad72913d53c753337cfeb82f938de693d91bb7c50095c058a9be7bc9f",
+    "ray-onnx": "ca2baac95928c4ae49e80983d6fa58c2bfaa77504125e27ab7b4cd897fe618eb",
+    "ray-tf_serving": "8cb2395aed3343ca12ae0cd1b1acb14f8f0188d1b7f3628e7e77492d918212d5",
+    "sampled": "3174b70981ad2775dadc09287ebacbf10831c975ce9fccf006562bd1274b6d80",
+    "server-crash": "f2ad349f473045bf4151a5928b6fce92d7a153a7a6339b7b9f0f261f1524943a",
+    "spark_ss-onnx": "916199885a1d4e568d6f904442fb6c1d15d295c4c3ef3b948d52e19c788ec233",
+    "spark_ss-tf_serving": "6f1184ab1ec0fb46ec8858c3b060259d19230372b14156dd50a78c7938f541b8",
 }
 
 
@@ -169,5 +229,24 @@ def test_exports_byte_identical(case):
     assert export_digests(case) == GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_span_csv_identical_up_to_span_ids(case):
+    assert id_free_csv_digest(case) == ID_FREE_CSV[case]
+
+
+def test_rank_span_ids_keeps_order_within_each_trace():
+    text = (
+        "trace_id,span_id,parent_id,name,start,end,duration\n"
+        "1,3,,a,0,1,1\n"
+        "1,9,3,b,0,1,1\n"
+        "2,5,,c,0,1,1\n"
+        "2,7,4,d,0,1,1\n"
+    )
+    assert rank_span_ids(text) == (
+        "1,1,,a,0,1,1\n1,2,1,b,0,1,1\n2,2,,c,0,1,1\n2,3,1,d,0,1,1\n"
+    )
+
+
 if __name__ == "__main__":
     print(json.dumps({case: export_digests(case) for case in sorted(CASES)}, indent=4))
+    print(json.dumps({case: id_free_csv_digest(case) for case in sorted(CASES)}, indent=4))
