@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import statistics
 import typing
@@ -35,13 +34,6 @@ def replicated(config: ExperimentConfig, seeds=SEEDS):
         return run_replicated(config, seeds, jobs=_BENCH_JOBS, store=store)
 
 
-#: The compiled-telemetry baseline the metrics benchmark maintains.
-BENCH_METRICS_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_metrics.json",
-)
-
-
 def mean_std(values: typing.Sequence[float]) -> tuple[float, float]:
     return statistics.fmean(values), statistics.pstdev(values)
 
@@ -60,53 +52,3 @@ def mean_latency(config: ExperimentConfig, seeds=SEEDS) -> tuple[float, float]:
 
 def table(title: str, headers, rows) -> str:
     return format_table(headers, rows, title=title)
-
-
-def telemetry_summary(result) -> dict:
-    """Compress one metrics-on run into per-series summary statistics.
-
-    ``result`` must come from ``ExperimentRunner.run(metrics=...)``; each
-    scraped series collapses to last/peak/mean/samples, alongside the
-    run's headline throughput and latency numbers.
-    """
-    if result.telemetry is None:
-        raise ValueError("run the experiment with metrics on first")
-    from repro.metrics.export import series_summaries
-
-    return {
-        "throughput": result.throughput,
-        "latency_mean": result.latency.mean,
-        "latency_p95": result.latency.p95,
-        "completed": result.completed,
-        "series": series_summaries(result.telemetry.scraper),
-    }
-
-
-def record_bench_metrics(
-    entries: dict[str, dict], path: str = BENCH_METRICS_PATH
-) -> dict:
-    """Merge per-config telemetry summaries into ``BENCH_metrics.json``.
-
-    The file is the perf-regression baseline: re-running the metrics
-    benchmark after a change and diffing it surfaces shifted queue peaks,
-    lag, or throughput per engine. Existing entries for other configs are
-    preserved so engines can be re-profiled independently.
-    """
-    payload: dict[str, dict] = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            payload = json.load(handle)
-    payload.update(entries)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload
-
-
-def load_bench_baseline(path: str = BENCH_METRICS_PATH) -> dict[str, dict]:
-    """The telemetry regression baseline, one entry per config label:
-    the committed ``BENCH_metrics.json`` (empty when absent)."""
-    if os.path.exists(path):
-        with open(path) as handle:
-            return json.load(handle)
-    return {}

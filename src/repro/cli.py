@@ -1,26 +1,29 @@
-"""Command-line interface: run single experiments or scenario presets.
+"""Command-line interface: run single experiments, grids and checks.
 
 ``crayfish run`` is the one single-experiment command: one
 :class:`~repro.config.ExperimentConfig` built from flags, plus the
 instruments asked for (``--trace``, ``--metrics``, ``--fault``,
-``--nodes``). Examples::
+``--nodes``). ``--workload`` picks the paper's scenario (§4.1): open
+loop (the default), closed loop, or periodic bursts, which also reports
+each burst's recovery. ``sweep``, ``matrix`` and ``cluster
+capacity-search`` run grids through the results store, which doubles
+as their cache; ``store info`` describes it. Examples::
 
     crayfish run --sps flink --serving onnx --model ffnn
     crayfish run --sps kafka_streams --serving tf_serving --mp 8
+    crayfish run --workload closed_loop --ir 1 --bsz 128
+    crayfish run --workload periodic_bursts --ir 100 --bd 3 --tbb 12 --duration 40
     crayfish run --ir 50 --trace trace.json --metrics metrics.txt
     crayfish run --serving tf_serving --ir 100 --fault server-crash --at 2
     crayfish run --nodes 2 --placement
+    crayfish matrix --preset latency
     crayfish verify-order --permutations 0
-    crayfish latency --sps flink --serving onnx --bsz 128
-    crayfish bursts --sps flink --serving onnx
     crayfish list
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import pathlib
 import sys
@@ -35,12 +38,7 @@ from repro.config import (
     WorkloadKind,
 )
 from repro.core.report import format_ms, format_rate, format_table
-from repro.core.runner import ExperimentRunner, run_experiment
-from repro.core.scenarios import (
-    measure_closed_loop_latency,
-    measure_sustainable_throughput,
-    run_burst_scenario,
-)
+from repro.core.runner import ExperimentRunner
 from repro.errors import ConfigError
 
 
@@ -106,17 +104,6 @@ def _separated(
         raise argparse.ArgumentTypeError(f"wants {spec}, got {text!r}")
 
     return parse
-
-
-def _threshold(text: str) -> tuple[str, float]:
-    """An argparse ``type=`` for ``METRIC=FRACTION`` (``--threshold``)."""
-    metric, sep, value = text.partition("=")
-    try:
-        if sep:
-            return metric, float(value)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"wants METRIC=FRACTION, got {text!r}")
 
 
 def _non_negative_int(text: str) -> int:
@@ -196,6 +183,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ("completed batches", result.completed),
     ]
     title = config.label()
+    if config.workload is not WorkloadKind.OPEN_LOOP:
+        title += f" {config.workload.value}"
+    if config.workload is WorkloadKind.PERIODIC_BURSTS:
+        rows.extend(_burst_rows(result))
     if outcome is not None:
         rows.extend(_chaos_rows(outcome))
         title += f" chaos: {args.fault} @ {args.at}s"
@@ -222,6 +213,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     kind = "chaos" if args.fault else "cluster" if args.nodes > 0 else "run"
     _record_results(_open_store(args), results, kind=kind)
     return code
+
+
+def _burst_rows(result) -> list[tuple[str, str]]:
+    """The periodic-bursts rows: recovery and peak latency per burst."""
+    from repro.core.scenarios import burst_reports
+
+    rows = []
+    for number, report in enumerate(burst_reports(result), start=1):
+        when = report.recovery_time
+        recovered = "not recovered" if when is None else f"{when:.2f}s"
+        rows.append((
+            f"burst {number} @ {report.burst_start:.0f}s",
+            f"recovery {recovered}, "
+            f"peak latency {format_ms(report.peak_latency)} ms",
+        ))
+    if not rows:
+        rows.append(("bursts", "none analysed: raise --duration past 1.5 x --tbb"))
+    return rows
 
 
 def _chaos_rows(outcome) -> list[tuple[str, typing.Any]]:
@@ -376,67 +385,15 @@ def _print_tasks(tasks: int, executed: int, jobs: int, store) -> None:
     )
 
 
-def _record_results(store, results, kind: str, label: str | None = None) -> None:
+def _record_results(store, results, kind: str) -> None:
     """Record finished results and say where they went; closes the store."""
     if store is None:
         return
     with store:
         for result in results:
-            store.record_result(result, kind=kind, label=label)
+            store.record_result(result, kind=kind)
     noun = "run" if len(results) == 1 else "runs"
     print(f"recorded {len(results)} {noun} into {store.path}")
-
-
-def _add_db_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--db", default=None,
-        help="results database path "
-        "(default: $CRAYFISH_STORE or .crayfish-store.sqlite)",
-    )
-
-
-def _require_db(args: argparse.Namespace) -> str | None:
-    """The query commands need an existing database; None + error if absent."""
-    path = _store_path(args.db)
-    if not os.path.exists(path):
-        print(
-            f"error: no results database at {path} — record runs into one "
-            "with run --store, sweep, matrix or cluster capacity-search",
-            file=sys.stderr,
-        )
-        return None
-    return path
-
-
-def _add_filter_args(parser: argparse.ArgumentParser) -> None:
-    """Row filters shared by ``history``/``trend``/``pareto``."""
-    _add_db_arg(parser)
-    parser.add_argument("--sps", default=None, choices=SPS_NAMES)
-    parser.add_argument("--serving", default=None, choices=SERVING_TOOLS)
-    parser.add_argument("--model", default=None, choices=MODEL_NAMES)
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument(
-        "--kind", default=None,
-        help="run kind: run, cluster, chaos, sweep, matrix, capacity",
-    )
-    parser.add_argument("--limit", type=int, default=None)
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="machine-readable JSON output instead of the table",
-    )
-
-
-def _history_filter(args: argparse.Namespace):
-    from repro.store import HistoryFilter
-
-    return HistoryFilter(
-        sps=args.sps,
-        serving=args.serving,
-        model=args.model,
-        nodes=args.nodes,
-        kind=args.kind,
-        limit=args.limit,
-    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -543,34 +500,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         "result CSV",
     )
     _maybe_dump(args, report.results)
-    return 0
-
-
-def _cmd_latency(args: argparse.Namespace) -> int:
-    config = _config_from(args, ir=args.ir, workload=WorkloadKind.CLOSED_LOOP)
-    aggregate, __ = measure_closed_loop_latency(config, seeds=(args.seed, args.seed + 1))
-    print(
-        f"{config.label()}  bsz={config.bsz}: "
-        f"{format_ms(aggregate.mean)} ms/batch (std {format_ms(aggregate.std)})"
-    )
-    return 0
-
-
-def _cmd_bursts(args: argparse.Namespace) -> int:
-    config = _config_from(args, bd=args.bd, tbb=args.tbb)
-    st = measure_sustainable_throughput(config, seeds=(args.seed,)).mean
-    outcome = run_burst_scenario(config, st, bursts=args.bursts, seed=args.seed)
-    print(f"{config.label()}: sustainable throughput {format_rate(st)} events/s")
-    for i, report in enumerate(outcome.reports):
-        recovered = (
-            f"{report.recovery_time:.2f}s"
-            if report.recovery_time is not None
-            else "not recovered"
-        )
-        print(
-            f"  burst {i + 1} @ {report.burst_start:.0f}s: recovery {recovered}, "
-            f"peak latency {format_ms(report.peak_latency)} ms"
-        )
     return 0
 
 
@@ -803,6 +732,7 @@ def _run_config(args: argparse.Namespace) -> ExperimentConfig:
         if getattr(args, flag) and not getattr(args, needed):
             raise ConfigError(f"--{flag.replace('_', '-')} needs --{needed}")
     fields = _cluster_fields(args)
+    fields.update(workload=WorkloadKind(args.workload), bd=args.bd, tbb=args.tbb)
     population = _population_from_args(args)
     if population is not None:
         fields["population"] = population  # --ir is ignored
@@ -1043,8 +973,13 @@ def _report_tie_conflicts(verdict) -> None:
 def _cmd_store_info(args: argparse.Namespace) -> int:
     from repro.store import SCHEMA_VERSION, ResultStore
 
-    path = _require_db(args)
-    if path is None:
+    path = _store_path(args.db)
+    if not os.path.exists(path):
+        print(
+            f"error: no results database at {path} — record runs into one "
+            "with run --store, sweep, matrix or cluster capacity-search",
+            file=sys.stderr,
+        )
         return 2
     with ResultStore(path) as store:
         counts = store.counts()
@@ -1055,173 +990,6 @@ def _cmd_store_info(args: argparse.Namespace) -> int:
         ]
         rows.extend((table, count) for table, count in counts.items())
     print(format_table(["field", "value"], rows, title=f"results store {path}"))
-    return 0
-
-
-def _cmd_history(args: argparse.Namespace) -> int:
-    from repro.store import ResultStore, format_history, history
-
-    path = _require_db(args)
-    if path is None:
-        return 2
-    with ResultStore(path) as store:
-        rows = history(store, _history_filter(args))
-    if args.as_json:
-        print(json.dumps(rows, indent=2, sort_keys=True))
-    else:
-        print(format_history(rows, title=f"run history ({path})"))
-    return 0
-
-
-def _cmd_trend(args: argparse.Namespace) -> int:
-    from repro.store import ResultStore, format_trends, trend
-
-    path = _require_db(args)
-    if path is None:
-        return 2
-    with ResultStore(path) as store:
-        series = trend(
-            store, args.metric, _history_filter(args), min_points=args.min_points
-        )
-    if args.as_json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "slot_id": s.slot_id,
-                        "label": s.label,
-                        "seed": s.seed,
-                        "metric": s.metric,
-                        "points": [list(point) for point in s.points],
-                    }
-                    for s in series
-                ],
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(format_trends(series, title=f"{args.metric} trend ({path})"))
-    return 0
-
-
-def _regress_current(result, slowdown: float) -> dict[str, float | None]:
-    """The measured metric values the regression gate compares.
-
-    ``slowdown`` > 1 synthetically degrades them (throughput divided,
-    latencies multiplied) — the ``--self-test-slowdown`` proof that the
-    gate actually fires. NaN (no completions) maps to None, which skips
-    the metric.
-    """
-
-    def clean(value):
-        return None if value is None or math.isnan(value) else value
-
-    current = {
-        "throughput": clean(result.throughput),
-        "latency_mean": clean(result.latency.mean),
-        "latency_p95": clean(result.latency.p95),
-        "latency_p99": clean(result.latency.p99),
-    }
-    if slowdown != 1.0:
-        for metric, value in current.items():
-            if value is None:
-                continue
-            current[metric] = (
-                value / slowdown if metric == "throughput" else value * slowdown
-            )
-    return current
-
-
-def _regress_thresholds(args: argparse.Namespace) -> dict[str, float]:
-    from repro.store import DEFAULT_THRESHOLDS
-    from repro.store.queries import validate_metric
-
-    thresholds = dict(DEFAULT_THRESHOLDS)
-    for metric, fraction in args.thresholds:
-        thresholds[validate_metric(metric)] = fraction
-    return thresholds
-
-
-def _cmd_regress(args: argparse.Namespace) -> int:
-    """Run the configured experiment and gate it on the stored baseline."""
-    from repro.store import (
-        ResultStore,
-        compare_to_baseline,
-        format_regression,
-        slot_id_of,
-    )
-
-    thresholds = _regress_thresholds(args)
-    config = _config_from(args, ir=args.ir)
-    result = run_experiment(config, seed=args.seed)
-    current = _regress_current(result, args.self_test_slowdown)
-    slot = slot_id_of(config.canonical_dict(), args.seed)
-    # Recording the degraded self-test values would poison the baseline.
-    may_record = args.self_test_slowdown == 1.0 and not args.no_record
-    with ResultStore(_store_path(args.db)) as store:
-        verdict = compare_to_baseline(
-            store, slot, config.label(), current, thresholds
-        )
-        print(format_regression(verdict))
-        if not verdict.has_baseline:
-            if may_record:
-                store.record_result(result, seed=args.seed, kind="run")
-            return 0
-        if verdict.ok:
-            if may_record:
-                store.record_result(result, seed=args.seed, kind="run")
-                print(f"pass: recorded as the new baseline in {store.path}")
-            return 0
-        if args.record_anyway and may_record:
-            store.record_result(result, seed=args.seed, kind="run")
-            print(
-                "REGRESSION recorded anyway (--record-anyway): this run is "
-                "now the baseline"
-            )
-            return 0
-    regressed = ", ".join(d.metric for d in verdict.regressed)
-    print(f"REGRESSION in {regressed} — run not recorded", file=sys.stderr)
-    return 1
-
-
-def _cmd_pareto(args: argparse.Namespace) -> int:
-    from repro.store import ResultStore, format_pareto, pareto_frontier
-
-    path = _require_db(args)
-    if path is None:
-        return 2
-    with ResultStore(path) as store:
-        points = pareto_frontier(
-            store, _history_filter(args), latency_metric=args.latency_metric
-        )
-    if args.as_json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "run_id": p.run_id,
-                        "slot_id": p.slot_id,
-                        "label": p.label,
-                        "seed": p.seed,
-                        "latency": p.latency,
-                        "throughput": p.throughput,
-                        "cost": p.cost,
-                        "on_frontier": p.on_frontier,
-                    }
-                    for p in points
-                ],
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(
-            format_pareto(
-                points,
-                title=f"latency/throughput/cost frontier ({path})",
-            )
-        )
     return 0
 
 
@@ -1244,11 +1012,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_cmd = commands.add_parser(
         "run",
-        help="one experiment, optionally traced, scraped, faulted or "
-        "clustered",
+        help="one experiment under any §4.1 workload, optionally traced, "
+        "scraped, faulted or clustered",
     )
     _add_sut_args(run_cmd)
-    run_cmd.add_argument("--ir", type=float, default=None, help="input rate; omit to saturate")
+    run_cmd.add_argument(
+        "--ir", type=float, default=None,
+        help="input rate (events/s); omit to saturate an open loop",
+    )
+    run_cmd.add_argument(
+        "--workload", default=WorkloadKind.OPEN_LOOP.value,
+        choices=[kind.value for kind in WorkloadKind],
+        help="§4.1 scenario: closed_loop and periodic_bursts need --ir "
+        "(periodic_bursts: 110%% of it in bursts, 70%% between)",
+    )
+    run_cmd.add_argument(
+        "--bd", type=float, default=ExperimentConfig.bd,
+        help="periodic_bursts: burst duration (s, default %(default)s)",
+    )
+    run_cmd.add_argument(
+        "--tbb", type=float, default=ExperimentConfig.tbb,
+        help="periodic_bursts: time between bursts (s, default %(default)s); "
+        "bursts starting at least tbb/2 before --duration ends are analysed",
+    )
     tracing = run_cmd.add_argument_group("tracing (on with --trace)")
     tracing.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -1340,18 +1126,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_matrix_exec_args(matrix_cmd)
     matrix_cmd.set_defaults(func=_cmd_matrix)
-
-    lat_cmd = commands.add_parser("latency", help="closed-loop latency")
-    _add_sut_args(lat_cmd)
-    lat_cmd.add_argument("--ir", type=float, default=1.0)
-    lat_cmd.set_defaults(func=_cmd_latency)
-
-    burst_cmd = commands.add_parser("bursts", help="periodic-burst scenario")
-    _add_sut_args(burst_cmd)
-    burst_cmd.add_argument("--bd", type=float, default=3.0, help="burst duration (s)")
-    burst_cmd.add_argument("--tbb", type=float, default=12.0, help="time between bursts (s)")
-    burst_cmd.add_argument("--bursts", type=int, default=3)
-    burst_cmd.set_defaults(func=_cmd_bursts)
 
     cluster_cmd = commands.add_parser(
         "cluster",
@@ -1490,78 +1264,12 @@ def build_parser() -> argparse.ArgumentParser:
     store_info = store_sub.add_parser(
         "info", help="schema version, provenance stamps, and row counts"
     )
-    _add_db_arg(store_info)
+    store_info.add_argument(
+        "--db", default=None,
+        help="results database path "
+        "(default: $CRAYFISH_STORE or .crayfish-store.sqlite)",
+    )
     store_info.set_defaults(func=_cmd_store_info)
-
-    history_cmd = commands.add_parser(
-        "history", help="stored run history, newest first"
-    )
-    _add_filter_args(history_cmd)
-    history_cmd.set_defaults(func=_cmd_history)
-
-    trend_cmd = commands.add_parser(
-        "trend",
-        help="per-configuration metric trajectories across revisions",
-    )
-    _add_filter_args(trend_cmd)
-    trend_cmd.add_argument(
-        "--metric", default="throughput",
-        help="metric to trend: throughput, latency_mean, latency_p50/p95/"
-        "p99/p999, completed, cost_proxy",
-    )
-    trend_cmd.add_argument(
-        "--min-points", type=int, default=2, dest="min_points",
-        help="hide slots with fewer recordings than this",
-    )
-    trend_cmd.set_defaults(func=_cmd_trend)
-
-    regress_cmd = commands.add_parser(
-        "regress",
-        help="run one experiment and gate it against the stored baseline "
-        "(exit 1 on regression — the CI gate)",
-    )
-    _add_sut_args(regress_cmd)
-    regress_cmd.add_argument(
-        "--ir", type=float, default=None, help="input rate; omit to saturate"
-    )
-    _add_db_arg(regress_cmd)
-    regress_cmd.add_argument(
-        "--threshold", action="append", default=[], dest="thresholds",
-        metavar="METRIC=FRACTION", type=_threshold,
-        help="override a relative threshold, e.g. throughput=0.10 "
-        "(repeatable)",
-    )
-    regress_cmd.add_argument(
-        "--self-test-slowdown", type=float, default=1.0,
-        dest="self_test_slowdown", metavar="FACTOR",
-        help="synthetically degrade the measured metrics by FACTOR to "
-        "prove the gate fires (the degraded run is never recorded)",
-    )
-    regress_cmd.add_argument(
-        "--no-record", action="store_true", dest="no_record",
-        help="compare only; never record this run into the store",
-    )
-    regress_cmd.add_argument(
-        "--record-anyway", action="store_true", dest="record_anyway",
-        help="record the run as the new baseline even if it regressed "
-        "(bless an intentional change)",
-    )
-    regress_cmd.set_defaults(func=_cmd_regress)
-
-    pareto_cmd = commands.add_parser(
-        "pareto",
-        help="latency/throughput/cost frontier over stored configurations",
-    )
-    _add_filter_args(pareto_cmd)
-    pareto_cmd.add_argument(
-        "--latency-metric", default="latency_p95", dest="latency_metric",
-        choices=(
-            "latency_mean", "latency_p50", "latency_p95",
-            "latency_p99", "latency_p999",
-        ),
-        help="which latency percentile forms the latency axis",
-    )
-    pareto_cmd.set_defaults(func=_cmd_pareto)
 
     list_cmd = commands.add_parser("list", help="registered components")
     list_cmd.set_defaults(func=_cmd_list)

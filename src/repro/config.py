@@ -212,6 +212,8 @@ class ExperimentConfig:
                 )
         if self.workload is WorkloadKind.PERIODIC_BURSTS and self.ir is None:
             raise ConfigError("periodic-burst workloads need a base input rate ir")
+        if self.workload is WorkloadKind.CLOSED_LOOP and self.ir is None:
+            raise ConfigError("closed-loop workloads need an input rate ir")
         if self.async_io:
             if self.async_io < 0:
                 raise ConfigError(f"async_io must be >= 0, got {self.async_io}")

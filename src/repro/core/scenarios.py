@@ -6,7 +6,8 @@ don't repeat it:
 - :func:`measure_sustainable_throughput` — open loop, input-saturated.
 - :func:`measure_closed_loop_latency` — low rate, inference-dominated.
 - :func:`run_burst_scenario` — periodic bursts at 110%/70% of sustainable
-  throughput, with per-burst recovery analysis.
+  throughput, with per-burst recovery analysis (:func:`burst_reports`,
+  which ``crayfish run --workload periodic_bursts`` shares).
 """
 
 from __future__ import annotations
@@ -77,23 +78,37 @@ def run_burst_scenario(
         warmup_fraction=0.0,
     )
     result = ExperimentRunner(bursty).run(seed=seed)
+    return BurstScenarioResult(
+        result=result, reports=burst_reports(result, threshold_factor)
+    )
+
+
+def burst_reports(
+    result: ExperimentResult, threshold_factor: float = 1.5
+) -> tuple[RecoveryReport, ...]:
+    """Recovery time and peak latency of each burst in a bursty run.
+
+    ``result`` must come from a ``PERIODIC_BURSTS`` run. Analyses every
+    burst that starts at least ``tbb / 2`` before the run ends; each is
+    timed from its start over one ``bd + tbb`` cycle (§5.1.4).
+    """
+    config = result.config
     schedule = PeriodicBursts(
-        low_rate=0.7 * sustainable_throughput,
-        high_rate=1.1 * sustainable_throughput,
+        low_rate=0.7 * config.ir,
+        high_rate=1.1 * config.ir,
         burst_duration=config.bd,
         time_between_bursts=config.tbb,
     )
-    reports = []
-    for burst_start, burst_end in schedule.burst_windows(horizon - config.tbb / 2):
-        reports.append(
-            recovery_time(
-                result.series,
-                burst_start,
-                burst_end,
-                horizon=burst_start + config.bd + config.tbb,
-                threshold_factor=threshold_factor,
-                dwell=min(1.0, config.tbb / 8),
-                baseline_window=config.tbb / 3,
-            )
+    windows = schedule.burst_windows(config.duration - config.tbb / 2)
+    return tuple(
+        recovery_time(
+            result.series,
+            burst_start,
+            burst_end,
+            horizon=burst_start + config.bd + config.tbb,
+            threshold_factor=threshold_factor,
+            dwell=min(1.0, config.tbb / 8),
+            baseline_window=config.tbb / 3,
         )
-    return BurstScenarioResult(result=result, reports=tuple(reports))
+        for burst_start, burst_end in windows
+    )

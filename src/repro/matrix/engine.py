@@ -31,7 +31,7 @@ from repro.core.report import format_ms, format_rate, format_table
 from repro.core.results_io import result_from_record, result_record
 from repro.core.runner import ExperimentRunner
 from repro.core.sweep import SweepPoint, validate_override_fields
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 
 #: Progress/result hook: called once per grid point, in grid order.
 PointHook = typing.Callable[
@@ -169,17 +169,26 @@ def run_matrix(
 
     if jobs == 1 or len(pending) <= 1:
         for index, config, seed in pending:
-            finish(index, execute_task(config, seed))
+            try:
+                record = execute_task(config, seed)
+            except Exception as error:
+                _reraise_named(error, config, seed)
+            finish(index, record)
     else:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(pending))
         ) as pool:
             futures = {
-                pool.submit(execute_task, config, seed): index
+                pool.submit(execute_task, config, seed): (index, config, seed)
                 for index, config, seed in pending
             }
             for future in concurrent.futures.as_completed(futures):
-                finish(futures[future], future.result())
+                index, config, seed = futures[future]
+                try:
+                    record = future.result()
+                except Exception as error:
+                    _reraise_named(error, config, seed)
+                finish(index, record)
 
     return MatrixReport(
         points=emit.points,
@@ -188,6 +197,26 @@ def run_matrix(
         executed=len(pending),
         jobs=jobs,
     )
+
+
+def _reraise_named(
+    error: Exception, config: ExperimentConfig, seed: int
+) -> typing.NoReturn:
+    """Re-raise a task's ``error`` naming the config and seed that broke.
+
+    A library error (:class:`~repro.errors.ReproError`) is re-raised as
+    the same class with the task in its message, chained from the
+    original, so a ConfigError stays a ConfigError and the CLI still
+    exits 2 on it. Any other exception keeps its identity, so callers
+    that catch it by type still can; it carries the task as a note
+    where Python supports notes (3.11+).
+    """
+    where = f"{config.label()} seed {seed}"
+    if isinstance(error, ReproError):
+        raise type(error)(f"{where} failed: {error}") from error
+    if hasattr(error, "add_note"):
+        error.add_note(f"raised by matrix task {where}")
+    raise error
 
 
 class _OrderedEmitter:

@@ -105,10 +105,10 @@ def timeline_rows(scraper: Scraper) -> list[dict]:
 def series_summaries(scraper: Scraper) -> dict[str, dict]:
     """Collapse each scraped series to last/peak/mean/samples.
 
-    The compact per-series shape the benchmark telemetry baseline
-    (``BENCH_metrics.json``) and the results database's ``series`` table
-    store: enough to spot shifted queue peaks or lag without keeping the
-    full timeline. Series that never collected a sample are omitted.
+    The compact per-series shape the results database's ``series``
+    table stores: enough to spot shifted queue peaks or lag without
+    keeping the full timeline. Series that never collected a sample are
+    omitted.
     """
     summaries: dict[str, dict] = {}
     for name, ts in sorted(scraper.series().items()):

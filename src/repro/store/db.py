@@ -1,6 +1,6 @@
 """The SQLite-backed results database (``repro.store``).
 
-One file holds the repository's measurement history and is its result
+One file holds the repository's recorded runs and is its result
 cache: every run — single ``crayfish run``, matrix or sweep task,
 capacity-search probe, chaos scenario — is a row keyed by the content
 address of its (canonical config, seed) experiment, stamped with the

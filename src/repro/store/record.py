@@ -31,8 +31,8 @@ def slot_id_of(config_dict: dict, seed: int | None) -> str:
     The only place a slot is computed. The run seed substitutes the
     config's own ``seed`` field (``ExperimentRunner.run(seed=...)``
     overrides it), so two configs differing only in that field describe
-    the same run and share a slot. The result-cache lookup and
-    ``crayfish regress`` both find exactly the experiment at hand by it.
+    the same run and share a slot. The result-cache lookup finds exactly
+    the experiment at hand by it.
     """
     canonical = dict(config_dict)
     if seed is not None:
@@ -84,8 +84,9 @@ def cost_proxy(config_dict: dict, record: dict) -> float | None:
     duration, normalized per 1000 completed events. It is a *proxy* —
     no dollars, no per-instance pricing — but it orders configurations
     the way "On the Cost of Model-Serving Frameworks" orders real
-    deployments: more replicas must buy proportionate throughput or the
-    frontier exposes them. None when the run completed nothing.
+    deployments: more replicas must buy proportionate throughput or
+    their cost per event rises. Stored in the ``runs.cost_proxy``
+    column. None when the run completed nothing.
     """
     completed = record.get("completed") or 0
     duration = float(config_dict.get("duration") or 0.0)
@@ -197,17 +198,3 @@ def record_from_row(row: typing.Mapping) -> dict:
     """The full result record a stored row was built from (lossless)."""
     return json.loads(row["record_json"])
 
-
-#: Metrics ``crayfish trend`` / ``crayfish regress`` can select, with
-#: their improvement direction (+1: higher is better, -1: lower is
-#: better).
-METRIC_DIRECTIONS: dict[str, int] = {
-    "throughput": +1,
-    "latency_mean": -1,
-    "latency_p50": -1,
-    "latency_p95": -1,
-    "latency_p99": -1,
-    "latency_p999": -1,
-    "completed": +1,
-    "cost_proxy": -1,
-}

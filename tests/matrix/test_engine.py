@@ -1,14 +1,16 @@
 """Unit tests for the matrix engine and its presets."""
 
 import dataclasses
+import sys
 
 import pytest
 
-from repro.config import ExperimentConfig
+from repro.cluster.spec import ClusterSpec
+from repro.config import ExperimentConfig, WorkloadKind
 from repro.core.results_io import result_from_record, result_record
 from repro.core.runner import run_experiment, run_replicated
-from repro.errors import ConfigError
-from repro.matrix import grid_points, preset, preset_names, run_matrix
+from repro.errors import ConfigError, MessageTooLargeError
+from repro.matrix import engine, grid_points, preset, preset_names, run_matrix
 from repro.store import ResultStore
 
 TINY = ExperimentConfig(
@@ -143,3 +145,60 @@ def test_cache_roundtrip_survives_fault_config(tmp_path):
     assert dataclasses.asdict(replayed.faults) == dataclasses.asdict(
         cold.points[0].results[0].faults
     )
+
+
+#: Fails inside the run, not at construction: a 77 MB batch overruns the
+#: broker's max.request.size once the first batch is produced.
+OVERSIZED = ExperimentConfig(
+    sps="flink",
+    serving="onnx",
+    model="resnet50",
+    workload=WorkloadKind.CLOSED_LOOP,
+    ir=0.5,
+    bsz=128,
+    duration=5.0,
+)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_task_failure_names_config_and_seed(jobs):
+    # With two workers either seed may fail first.
+    with pytest.raises(
+        MessageTooLargeError, match=r"^flink/onnx/resnet50 seed [34] failed: "
+    ) as info:
+        run_matrix(OVERSIZED, {}, seeds=(3, 4), jobs=jobs)
+    assert isinstance(info.value.__cause__, MessageTooLargeError)
+    assert "max.request.size" in str(info.value)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_task_config_error_stays_a_config_error(jobs):
+    """Placement is checked when the run assembles, so the ConfigError
+    comes out of the task itself."""
+    crowded = TINY.replace(
+        mp=8,
+        cluster=ClusterSpec(nodes=1, cpus_per_node=2),
+        use_broker=True,
+        partitions=32,
+    )
+    with pytest.raises(ConfigError, match=r"seed [01] failed: .*oversubscribes") as info:
+        run_matrix(crowded, {}, seeds=(0, 1), jobs=jobs)
+    assert isinstance(info.value.__cause__, ConfigError)
+
+
+class _Foreign(Exception):
+    """Not a library error: a caller catches it by its own type."""
+
+
+def test_foreign_task_error_keeps_its_identity(monkeypatch):
+    def explode(config, seed):
+        raise _Foreign(seed)
+
+    monkeypatch.setattr(engine, "execute_task", explode)
+    with pytest.raises(_Foreign) as info:
+        run_matrix(TINY, {}, seeds=(5,))
+    assert info.value.args == (5,)
+    if sys.version_info >= (3, 11):
+        assert info.value.__notes__ == [
+            "raised by matrix task flink/onnx/ffnn seed 5"
+        ]

@@ -13,6 +13,7 @@ import pytest
 from repro.config import ExperimentConfig
 from repro.core.runner import ExperimentRunner
 from repro.metrics import MetricsOptions
+from repro.metrics.export import series_summaries
 
 COMBOS = [
     ("flink", "onnx"),
@@ -39,7 +40,15 @@ def test_metrics_do_not_perturb_results(sps, serving):
     assert plain.produced == observed.produced
     assert plain.series == observed.series
     assert plain.telemetry is None
-    assert observed.telemetry is not None
+    # Every layer exports a series on every engine, and each scraped
+    # series carries samples.
+    summaries = series_summaries(observed.telemetry.scraper)
+    names = set(summaries)
+    assert any(n.startswith("crayfish_broker_consumer_lag") for n in names)
+    assert any(n.startswith("crayfish_engine_input_queue") for n in names)
+    assert "crayfish_serving_requests" in names
+    assert "crayfish_pipeline_batches_completed" in names
+    assert all(s["samples"] > 0 for s in summaries.values())
 
 
 def test_every_layer_exports_a_gauge():

@@ -1,4 +1,4 @@
-"""End-to-end CLI coverage: recording flags, query commands, the CI gate."""
+"""End-to-end CLI coverage: recording flags, store info, the result cache."""
 
 import json
 import sqlite3
@@ -6,6 +6,7 @@ import sqlite3
 import pytest
 
 from repro.cli import main
+from repro.store import ResultStore
 
 
 @pytest.fixture(autouse=True)
@@ -22,11 +23,9 @@ def test_run_store_flag_records_and_history_reads(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"recorded 1 run into {db}" in out
 
-    assert main(["history", "--db", str(db), "--json"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert len(rows) == 1
-    assert rows[0]["label"] == "flink/onnx/ffnn"
-    assert rows[0]["kind"] == "run"
+    with ResultStore(db, fingerprint="-", git_rev=None) as store:
+        rows = store.conn.execute("SELECT label, kind FROM runs").fetchall()
+    assert [tuple(row) for row in rows] == [("flink/onnx/ffnn", "run")]
 
     assert main(["store", "info", "--db", str(db)]) == 0
     info = capsys.readouterr().out
@@ -49,84 +48,9 @@ def test_store_env_var_enables_recording(tmp_path, monkeypatch, capsys):
 
 def test_query_commands_require_an_existing_db(tmp_path, capsys):
     missing = tmp_path / "absent.sqlite"
-    for argv in (
-        ["history", "--db", str(missing)],
-        ["trend", "--db", str(missing)],
-        ["pareto", "--db", str(missing)],
-        ["store", "info", "--db", str(missing)],
-    ):
-        assert main(argv) == 2
-        assert "no results database" in capsys.readouterr().err
-
-
-def test_regress_gate_passes_then_catches_seeded_slowdown(tmp_path, capsys):
-    db = tmp_path / "gate.sqlite"
-    argv = [
-        "regress", "--ir", "50", "--duration", "0.5",
-        "--seed", "3", "--db", str(db),
-    ]
-    # First run: no baseline yet -> recorded, gate passes.
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert "no stored baseline" in out
-
-    # Identical re-run: compares equal, re-records as the new baseline.
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert "baseline" in out
-    assert "ok" in out
-
-    # Seeded slowdown: every gated metric regresses, exit nonzero, and
-    # the degraded run must NOT poison the baseline.
-    assert main(argv + ["--self-test-slowdown", "2.0"]) == 1
-    captured = capsys.readouterr()
-    assert "REGRESSED" in captured.out
-    assert "run not recorded" in captured.err
-
-    # The baseline survived the failed gate: an honest run still passes.
-    assert main(argv) == 0
-
-
-def test_regress_threshold_override_and_validation(tmp_path, capsys):
-    db = tmp_path / "thresh.sqlite"
-    argv = [
-        "regress", "--ir", "50", "--duration", "0.5", "--db", str(db),
-    ]
-    assert main(argv) == 0
-    capsys.readouterr()
-    # An absurdly loose threshold lets even a halved throughput pass.
-    assert main(
-        argv + ["--self-test-slowdown", "2.0",
-                "--threshold", "throughput=10.0",
-                "--threshold", "latency_mean=10.0",
-                "--threshold", "latency_p95=10.0",
-                "--threshold", "latency_p99=10.0"]
-    ) == 0
-    capsys.readouterr()
-    assert main(argv + ["--threshold", "vibes=0.1"]) == 2
-    assert "unknown metric" in capsys.readouterr().err
-
-
-def test_trend_and_pareto_render_after_two_recordings(tmp_path, capsys):
-    db = tmp_path / "trend.sqlite"
-    argv = ["run", "--ir", "50", "--duration", "0.5", "--store", str(db)]
-    assert main(argv) == 0
-    assert main(argv) == 0
-    capsys.readouterr()
-
-    assert main(["trend", "--db", str(db), "--json"]) == 0
-    series = json.loads(capsys.readouterr().out)
-    assert len(series) == 1
-    assert series[0]["metric"] == "throughput"
-    assert len(series[0]["points"]) == 2
-
-    assert main(["trend", "--db", str(db), "--metric", "nope"]) == 2
-    capsys.readouterr()
-
-    assert main(["pareto", "--db", str(db), "--json"]) == 0
-    points = json.loads(capsys.readouterr().out)
-    assert len(points) == 1  # latest-per-slot: two recordings, one point
-    assert points[0]["on_frontier"] is True
+    assert main(["store", "info", "--db", str(missing)]) == 2
+    assert "no results database" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 def test_matrix_store_records_sweep_meta(tmp_path, capsys):
@@ -156,5 +80,6 @@ def test_matrix_store_records_sweep_meta(tmp_path, capsys):
     assert "executed" not in json.loads(first_line)
     assert not (tmp_path / "matrix.meta.json").exists()
 
-    assert main(["history", "--db", str(db), "--kind", "matrix"]) == 0
-    assert "matrix" in capsys.readouterr().out
+    with ResultStore(db, fingerprint="-", git_rev=None) as store:
+        kinds = store.conn.execute("SELECT kind FROM runs").fetchall()
+    assert [row["kind"] for row in kinds] == ["matrix", "matrix"]

@@ -1,8 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import ExperimentConfig
+from repro.core.report import format_ms
+from repro.core.scenarios import measure_sustainable_throughput, run_burst_scenario
 
 
 def test_list_command(capsys):
@@ -22,24 +27,71 @@ def test_run_command(capsys):
 
 
 def test_latency_command(capsys):
-    code = main(
-        ["latency", "--sps", "flink", "--serving", "onnx", "--bsz", "8", "--duration", "2"]
-    )
-    assert code == 0
-    assert "ms/batch" in capsys.readouterr().out
-
-
-def test_bursts_command(capsys):
+    """The closed-loop scenario is ``run --workload closed_loop``."""
     code = main(
         [
-            "bursts", "--sps", "flink", "--serving", "onnx",
-            "--bd", "1", "--tbb", "3", "--bursts", "1", "--duration", "1",
+            "run", "--workload", "closed_loop", "--ir", "1",
+            "--sps", "flink", "--serving", "onnx", "--bsz", "8",
+            "--duration", "2",
         ]
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "sustainable throughput" in out
-    assert "burst 1" in out
+    assert "flink/onnx/ffnn closed_loop" in out
+    assert "mean latency (ms)" in out
+
+
+def test_bursts_command(capsys):
+    """The periodic-burst scenario is ``run --workload periodic_bursts``."""
+    code = main(
+        [
+            "run", "--workload", "periodic_bursts", "--ir", "100",
+            "--sps", "flink", "--serving", "onnx",
+            "--bd", "1", "--tbb", "3", "--duration", "7",
+        ]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "flink/onnx/ffnn periodic_bursts" in out
+    assert "burst 1 @ 3s" in out
+    assert "burst 2" not in out  # starts at 7s: outside the run
+
+
+def test_run_periodic_bursts_matches_burst_scenario(capsys):
+    """``run`` and ``run_burst_scenario`` share one per-burst analysis:
+    same config, rate and seed give the same recoveries and peaks."""
+    config = ExperimentConfig(
+        sps="flink", serving="onnx", model="ffnn", bd=1.0, tbb=3.0,
+        duration=2.0, seed=2,
+    )
+    rate = measure_sustainable_throughput(config, seeds=(2,)).mean
+    scenario = run_burst_scenario(config, rate, bursts=2, seed=2)
+    horizon = scenario.result.config.duration
+    assert main(
+        [
+            "run", "--workload", "periodic_bursts", "--ir", repr(rate),
+            "--bd", "1", "--tbb", "3", "--duration", repr(horizon),
+            "--seed", "2",
+        ]
+    ) == 0
+    reported = re.findall(
+        r"burst (\d+) @ (\d+)s +recovery (\S+(?: recovered)?), "
+        r"peak latency (\S+) ms",
+        capsys.readouterr().out,
+    )
+    expected = [
+        (
+            str(number),
+            f"{report.burst_start:.0f}",
+            "not recovered"
+            if report.recovery_time is None
+            else f"{report.recovery_time:.2f}s",
+            format_ms(report.peak_latency),
+        )
+        for number, report in enumerate(scenario.reports, start=1)
+    ]
+    assert len(expected) == 2
+    assert reported == expected
 
 
 def test_sweep_command(tmp_path, capsys):
@@ -283,8 +335,8 @@ def _exit_code(argv):
         (["sweep", "--values", "1,x"], "--values: wants INT[,INT...], got '1,x'"),
         (["matrix", "--seeds", "0,x"], "--seeds: wants SEED[,SEED...], got '0,x'"),
         (
-            ["regress", "--threshold", "throughput=x"],
-            "--threshold: wants METRIC=FRACTION, got 'throughput=x'",
+            ["run", "--workload", "closed_loop"],
+            "closed-loop workloads need an input rate ir",
         ),
         (
             ["verify-order", "--permutations", "-1"],
@@ -303,6 +355,10 @@ def _exit_code(argv):
         (["run", "--sanitize"], "unrecognized arguments: --sanitize"),
         (["run", "--tie-track"], "unrecognized arguments: --tie-track"),
         (["lint", "--only", "x"], "unrecognized arguments: --only"),
+        (
+            ["run", "--workload", "periodic_bursts"],
+            "periodic-burst workloads need a base input rate ir",
+        ),
     ],
 )
 def test_bad_input_exits_two_with_message(argv, message, capsys):

@@ -62,6 +62,14 @@ def test_bursty_requires_rate():
         ExperimentConfig(workload=WorkloadKind.PERIODIC_BURSTS, ir=None)
 
 
+def test_closed_loop_requires_rate():
+    """Without a rate the runner would saturate: an open loop under a
+    closed-loop label."""
+    with pytest.raises(ConfigError, match="closed-loop"):
+        ExperimentConfig(workload=WorkloadKind.CLOSED_LOOP, ir=None)
+    assert ExperimentConfig(workload=WorkloadKind.CLOSED_LOOP, ir=1.0).ir == 1.0
+
+
 def test_replace_revalidates():
     config = ExperimentConfig()
     with pytest.raises(ConfigError):

@@ -44,8 +44,6 @@ PUBLIC_MODULES = [
     "repro.store.db",
     "repro.store.migrations",
     "repro.store.record",
-    "repro.store.queries",
-    "repro.store.report",
     "repro.core.scenarios",
     "repro.core.analyzer",
     "repro.core.dataset",
