@@ -27,6 +27,7 @@ from repro.faults.plan import (
     ServerCrash,
     StragglerReplica,
 )
+from repro.faults.recovery import AT_LEAST_ONCE, EXACTLY_ONCE, GUARANTEES
 
 
 class WorkloadKind(enum.Enum):
@@ -133,12 +134,14 @@ class ExperimentConfig:
     #: the related work contrasts with. None disables it (the paper's
     #: servers answer request-at-a-time).
     adaptive_batching: tuple[int, float] | None = None
-    #: Flink only: enable checkpointing with this interval (seconds).
-    #: ``None`` disables fault tolerance (the paper's configuration).
+    #: Enable checkpointing with this interval (seconds), on any engine
+    #: (:class:`repro.faults.recovery.EngineRecovery`). ``None`` disables
+    #: fault tolerance (the paper's configuration).
     checkpoint_interval: float | None = None
     #: Sink guarantee under failures: "at_least_once" or "exactly_once"
-    #: (§7.2's processing-guarantee discussion, made measurable).
-    delivery_guarantee: str = "at_least_once"
+    #: (§7.2's processing-guarantee discussion, made measurable);
+    #: exactly-once is Flink-only.
+    delivery_guarantee: str = AT_LEAST_ONCE
     #: Simulated times at which the whole job crashes (failure injection).
     failure_times: tuple[float, ...] = ()
     #: Downtime per failure: restart + state restore + model reload.
@@ -262,12 +265,12 @@ class ExperimentConfig:
                 raise ConfigError(
                     "protocol selection applies to tf_serving/torchserve only"
                 )
-        if self.delivery_guarantee not in ("at_least_once", "exactly_once"):
+        if self.delivery_guarantee not in GUARANTEES:
             raise ConfigError(
                 f"unknown delivery guarantee {self.delivery_guarantee!r}"
             )
         if self.fault_tolerant:
-            if self.delivery_guarantee == "exactly_once" and self.sps != "flink":
+            if self.delivery_guarantee == EXACTLY_ONCE and self.sps != "flink":
                 raise ConfigError(
                     "exactly-once sinks are implemented for Flink only; "
                     "other engines recover at-least-once"
@@ -277,12 +280,21 @@ class ExperimentConfig:
                     "fault tolerance does not combine with operator_parallelism "
                     "or async_io"
                 )
-        if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
-            raise ConfigError("checkpoint_interval must be positive")
+        # Written as ``not x > 0`` so that NaN fails here, not mid-run.
+        if self.checkpoint_interval is not None and not self.checkpoint_interval > 0:
+            raise ConfigError(
+                f"checkpoint_interval must be positive, got {self.checkpoint_interval}"
+            )
         if self.failure_times and self.checkpoint_interval is None:
             raise ConfigError("failure injection requires checkpoint_interval")
-        if self.recovery_time < 0:
-            raise ConfigError("recovery_time must be non-negative")
+        if not all(t > 0 for t in self.failure_times):
+            raise ConfigError(
+                f"failure times must be positive, got {self.failure_times}"
+            )
+        if not self.recovery_time >= 0:
+            raise ConfigError(
+                f"recovery_time must be non-negative, got {self.recovery_time}"
+            )
         if self.fault_plan is not None and not self.fault_plan.empty:
             plan = self.fault_plan
             if plan.partition_outages and not self.use_broker:

@@ -128,19 +128,6 @@ class ExperimentRunner:
 
         return total_parallelism(self.config)
 
-    def _fault_tolerance(self):
-        """The engine's fault-tolerance plan, when checkpointing is on."""
-        if not self.config.fault_tolerant:
-            return None
-        from repro.sps.flink.fault_tolerance import FaultToleranceConfig
-
-        return FaultToleranceConfig(
-            checkpoint_interval=self.config.checkpoint_interval,
-            guarantee=self.config.delivery_guarantee,
-            failure_times=self.config.failure_times,
-            recovery_time=self.config.recovery_time,
-        )
-
     def _serving_name(self) -> str:
         """Ray cannot reach TF-Serving/TorchServe natively: the paper
         substitutes Ray Serve for any external tool on Ray (Fig. 10/11
@@ -331,19 +318,14 @@ class ExperimentRunner:
             operator_parallelism=config.operator_parallelism,
             async_io=config.async_io,
             scoring_window=config.scoring_window,
-            # Flink checkpoints natively; the other engines get recovery
-            # attached externally below.
-            fault_tolerance=(
-                self._fault_tolerance() if config.sps == "flink" else None
-            ),
             tracer=tracer,
             metrics=registry,
         )
         recovery = None
-        if config.fault_tolerant and config.sps != "flink":
+        if config.fault_tolerant:
             from repro.faults.recovery import EngineRecovery
 
-            recovery = EngineRecovery(env, engine, self._fault_tolerance())
+            recovery = EngineRecovery(env, engine, config)
             recovery.start()
         injector = None
         if plan is not None and not plan.empty:
@@ -421,37 +403,27 @@ class ExperimentRunner:
             backlog_series=tuple(probe.series()) if probe is not None else (),
             trace=tracer if not isinstance(tracer, NullTracer) else None,
             telemetry=Telemetry(registry, scraper) if scraper is not None else None,
-            faults=self._fault_summary(engine, injector, resilience, recovery),
+            faults=self._fault_summary(injector, resilience, recovery),
         )
 
+    @staticmethod
     def _fault_summary(
-        self,
-        engine: typing.Any,
         injector: typing.Any,
         resilience: typing.Any,
         recovery: typing.Any,
     ) -> "FaultSummary | None":
         """Tally what the chaos machinery did; None on a plain run."""
-        chaos_active = (
-            injector is not None
-            or resilience is not None
-            or recovery is not None
-            or self.config.fault_tolerant
-        )
-        if not chaos_active:
+        if injector is None and resilience is None and recovery is None:
             return None
         from repro.faults.summary import FaultSummary
 
         counts = injector.counts if injector is not None else {}
         breaker = resilience.breaker if resilience is not None else None
+        failures = restarts = checkpoints = 0
         if recovery is not None:
             failures = recovery.failures_injected
             restarts = recovery.restarts
             checkpoints = recovery.checkpoints_completed
-        else:  # Flink's native checkpointing (or no recovery at all)
-            failures = getattr(engine, "failures_injected", 0)
-            restarts = getattr(engine, "restarts", 0)
-            checkpoints = getattr(engine, "checkpoints_completed", 0)
         return FaultSummary(
             server_crashes=counts.get("server_crash", 0),
             partition_outages=counts.get("partition_outage", 0),

@@ -64,6 +64,10 @@ class DataProcessor:
         #: Kafka produces in flight). Maintained unconditionally — two
         #: integer ops per batch — so metrics-on/off runs stay identical.
         self._emits_inflight = 0
+        #: Exactly-once sink: output batches held in the open Kafka
+        #: transaction until the next checkpoint commits it. None — the
+        #: default, at-least-once — emits each batch at once.
+        self.transaction: list[CrayfishDataBatch] | None = None
         metrics.gauge(
             "engine_input_queue",
             help="records fetched-able but not yet polled by source tasks",
@@ -124,12 +128,31 @@ class DataProcessor:
 
     def crash(self) -> None:
         """Fail the engine job: every task dies, source handles are
-        discarded (their offsets are lost with the process state)."""
+        discarded (their offsets are lost with the process state), and
+        the open transaction aborts: its output is never seen downstream."""
         tasks, self._task_processes = self._task_processes, []
         self._sources = []
+        if self.transaction is not None:
+            self.transaction = []
         for task in tasks:
             if task.is_alive:
                 task.interrupt("engine crashed")
+
+    def commit(self) -> None:
+        """Commit the open transaction with a completed checkpoint.
+
+        One process emits the held batches in batch-id order, so the
+        output log's order does not depend on which task's sink reached
+        the transaction first within a tie."""
+        if not self.transaction:
+            return
+        held, self.transaction = self.transaction, []
+        held.sort(key=lambda batch: batch.batch_id)
+        self.env.process(self._commit_process(held))
+
+    def _commit_process(self, held: list[CrayfishDataBatch]) -> typing.Generator:
+        for batch in held:
+            yield from self._emit_process(batch)
 
     def checkpoint_positions(self) -> list[dict[int, int]]:
         """Source offsets per handle, in creation order (a checkpoint)."""
@@ -205,7 +228,11 @@ class DataProcessor:
     def emit_and_complete(self, batch: CrayfishDataBatch) -> None:
         """Fire-and-forget produce: Kafka producers buffer and send
         asynchronously, so the sink task never blocks on the broker round
-        trip. Completion is reported at append time (LogAppendTime)."""
+        trip. Completion is reported at append time (LogAppendTime).
+        Under exactly-once the batch joins the open transaction instead."""
+        if self.transaction is not None:
+            self.transaction.append(batch)
+            return
         self.env.process(self._emit_process(batch))
 
     def _emit_process(self, batch: CrayfishDataBatch) -> typing.Generator:

@@ -9,10 +9,6 @@ from repro.serving.base import ServingTool
 from repro.simul import Environment
 from repro.sps.api import CompletionCallback, DataProcessor
 from repro.sps.flink import FlinkProcessor
-from repro.sps.flink.fault_tolerance import (
-    CheckpointedFlinkProcessor,
-    FaultToleranceConfig,
-)
 from repro.sps.gateways import InputGateway, OutputGateway
 from repro.sps.kafka_streams import KafkaStreamsProcessor
 from repro.sps.ray_actors import RayProcessor
@@ -40,7 +36,6 @@ def create_data_processor(
     operator_parallelism: tuple[int, int, int] | None = None,
     async_io: int = 0,
     scoring_window: int = 0,
-    fault_tolerance: "FaultToleranceConfig | None" = None,
     tracer: typing.Any = NO_TRACE,
     metrics: typing.Any = NO_METRICS,
 ) -> DataProcessor:
@@ -64,17 +59,6 @@ def create_data_processor(
         if engine_cls is not FlinkProcessor:
             raise ConfigError("scoring_window is Flink-only")
         kwargs["scoring_window"] = scoring_window
-    if fault_tolerance is not None:
-        # Flink owns a native checkpointing implementation; the other
-        # engines recover through repro.faults.recovery.EngineRecovery,
-        # which the runner attaches externally.
-        if engine_cls is not FlinkProcessor:
-            raise ConfigError(
-                "engine-native fault tolerance is Flink-only; other "
-                "engines use repro.faults.recovery"
-            )
-        engine_cls = CheckpointedFlinkProcessor
-        kwargs["fault_tolerance"] = fault_tolerance
     return engine_cls(
         env,
         tool,

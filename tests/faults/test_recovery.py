@@ -1,15 +1,19 @@
-"""Checkpoint/replay recovery on the non-Flink engines."""
+"""Checkpoint/replay recovery, the one path every engine takes."""
+
+import dataclasses
+import json
 
 import pytest
 
-from repro.config import ExperimentConfig
-from repro.core.runner import run_experiment
+from repro.analysis.order import verify_engine_order
+from repro.config import SPS_NAMES, ExperimentConfig
+from repro.core.results_io import result_record
+from repro.core.runner import ExperimentRunner, run_experiment
 from repro.errors import ConfigError
-from repro.faults.recovery import EngineRecovery
-from repro.simul import Environment
-from repro.sps.flink.fault_tolerance import FaultToleranceConfig
+from repro.sps.api import DataProcessor
+from repro.tracing.export import chrome_trace
 
-ENGINES = ["kafka_streams", "spark_ss", "ray"]
+ENGINES = list(SPS_NAMES)
 
 
 def config(**kw):
@@ -23,9 +27,86 @@ def config(**kw):
 
 
 def test_rejects_exactly_once():
-    ft = FaultToleranceConfig(guarantee="exactly_once")
-    with pytest.raises(ConfigError):
-        EngineRecovery(Environment(), engine=object(), ft=ft)
+    """Exactly-once stays Flink-only, checked once, at construction."""
+    config(sps="flink", delivery_guarantee="exactly_once")
+    for sps in ("kafka_streams", "spark_ss", "ray"):
+        with pytest.raises(ConfigError, match="exactly-once"):
+            config(sps=sps, delivery_guarantee="exactly_once")
+
+
+def _published(config):
+    """Results (minus the config and fault tally) and Chrome trace bytes
+    of one traced run."""
+    result = ExperimentRunner(config).run(trace=True)
+    record = result_record(result)
+    del record["config"], record["faults"]
+    return (
+        json.dumps(record, sort_keys=True),
+        json.dumps(chrome_trace(result.trace), sort_keys=True),
+    )
+
+
+@pytest.mark.parametrize(
+    "sps,serving,window",
+    [(sps, "onnx", 0) for sps in ENGINES] + [("flink", "tf_serving", 16)],
+)
+def test_idle_checkpointing_changes_nothing(sps, serving, window):
+    """Checkpoints without failures only read offsets: the published
+    results and the trace stay byte-equal to a run without them."""
+    plain = config(
+        sps=sps,
+        serving=serving,
+        scoring_window=window,
+        checkpoint_interval=None,
+        duration=2.0,
+    )
+    checkpointed = dataclasses.replace(plain, checkpoint_interval=0.5)
+    assert _published(checkpointed) == _published(plain)
+
+
+@pytest.mark.parametrize(
+    "sps,model", [(sps, "ffnn") for sps in ENGINES] + [("flink", "resnet50")]
+)
+def test_crash_lands_at_configured_time(sps, model, monkeypatch):
+    """The failure clock starts at t=0 on every engine, not after the
+    model loads (resnet50 loads for ~0.7 s)."""
+    crashes = []
+    crash = DataProcessor.crash
+
+    def record_crash(engine):
+        crashes.append(engine.env.now)
+        crash(engine)
+
+    monkeypatch.setattr(DataProcessor, "crash", record_crash)
+    result = run_experiment(
+        config(sps=sps, model=model, ir=20.0, duration=3.0, failure_times=(1.5,))
+    )
+    assert crashes == [1.5]
+    assert result.faults.engine_failures == 1
+
+
+@pytest.mark.parametrize(
+    "sps,guarantee",
+    [
+        ("flink", "exactly_once"),
+        ("flink", "at_least_once"),
+        ("kafka_streams", "at_least_once"),
+    ],
+)
+def test_crash_recovery_order_independent(sps, guarantee):
+    """A crash, a replay and (exactly-once) transaction commits move no
+    export byte under tie permutations: commits emit in batch-id order."""
+    verdict = verify_engine_order(
+        config(
+            sps=sps,
+            delivery_guarantee=guarantee,
+            duration=2.5,
+            failure_times=(1.2,),
+            recovery_time=0.3,
+        ),
+        permutations=3,
+    )
+    assert verdict.identical, f"{sps}/{guarantee}: {verdict.mismatched}"
 
 
 @pytest.mark.parametrize("sps", ENGINES)

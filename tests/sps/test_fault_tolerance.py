@@ -3,9 +3,9 @@
 import pytest
 
 from repro.config import ExperimentConfig, WorkloadKind
-from repro.core.runner import run_experiment
+from repro.core.runner import ExperimentRunner, run_experiment
 from repro.errors import ConfigError
-from repro.sps.flink.fault_tolerance import FaultToleranceConfig
+from repro.tracing.export import chrome_trace
 
 
 def config(**kw):
@@ -18,20 +18,9 @@ def config(**kw):
     return ExperimentConfig(**kw)
 
 
-def test_ft_config_validation():
-    with pytest.raises(ConfigError):
-        FaultToleranceConfig(checkpoint_interval=0)
-    with pytest.raises(ConfigError):
-        FaultToleranceConfig(guarantee="maybe_once")
-    with pytest.raises(ConfigError):
-        FaultToleranceConfig(recovery_time=-1)
-    with pytest.raises(ConfigError):
-        FaultToleranceConfig(failure_times=(0.0,))
-
-
 def test_experiment_config_ft_validation():
-    # Checkpointing is valid on every engine now; exactly-once stays
-    # Flink-only (transactional sinks are not modelled elsewhere).
+    # Checkpointing is valid on every engine; exactly-once stays
+    # Flink-only, a rule ExperimentConfig alone enforces.
     config(sps="kafka_streams")
     with pytest.raises(ConfigError):
         config(sps="kafka_streams", delivery_guarantee="exactly_once")
@@ -116,3 +105,16 @@ def test_external_serving_survives_failures():
     result = run_experiment(config(serving="tf_serving", failure_times=(3.0,)))
     assert result.completed > 0
     assert result.duplicates > 0
+
+
+@pytest.mark.parametrize("guarantee", ["at_least_once", "exactly_once"])
+def test_traced_crash_run_keeps_engine_spans(guarantee):
+    """A checkpointed crash run executes the engine's own task loop, so
+    its trace carries every Flink stage span."""
+    result = ExperimentRunner(
+        config(ir=50.0, duration=3.0, failure_times=(1.5,), delivery_guarantee=guarantee)
+    ).run(trace=True)
+    assert result.faults.engine_failures == 1
+    names = {event["name"] for event in chrome_trace(result.trace)["traceEvents"]}
+    for span in ("flink.task_queue", "flink.source", "flink.score", "flink.sink"):
+        assert span in names, span

@@ -49,6 +49,41 @@ def test_invalid_fields_rejected(field, value):
         ExperimentConfig(**{field: value})
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"checkpoint_interval": 0.0},
+        {"checkpoint_interval": -1.0},
+        {"checkpoint_interval": NAN},
+        {"checkpoint_interval": 1.0, "recovery_time": -1.0},
+        {"checkpoint_interval": 1.0, "recovery_time": NAN},
+        {"checkpoint_interval": 1.0, "failure_times": (0.0,)},
+        {"checkpoint_interval": 1.0, "failure_times": (-1.0,)},
+        {"checkpoint_interval": 1.0, "failure_times": (2.0, NAN)},
+        {"checkpoint_interval": 1.0, "delivery_guarantee": "maybe_once"},
+    ],
+    ids=[
+        "interval-zero",
+        "interval-negative",
+        "interval-nan",
+        "recovery-negative",
+        "recovery-nan",
+        "failure-zero",
+        "failure-negative",
+        "failure-nan",
+        "guarantee-unknown",
+    ],
+)
+def test_fault_tolerance_values_rejected(fields):
+    """Bad checkpoint/recovery values fail at construction, NaN included,
+    instead of as a kernel error halfway through the run."""
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**fields)
+
+
 def test_operator_parallelism_flink_only():
     ExperimentConfig(sps="flink", operator_parallelism=(32, 1, 32))
     with pytest.raises(ConfigError):

@@ -25,7 +25,6 @@ PUBLIC_MODULES = [
     "repro.serving.external.multi_model",
     "repro.sps",
     "repro.sps.gateways",
-    "repro.sps.flink.fault_tolerance",
     "repro.faults",
     "repro.faults.plan",
     "repro.faults.summary",
