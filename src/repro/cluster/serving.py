@@ -111,7 +111,7 @@ class LoadBalancedFleet(ServingTool):
                 help="requests queued at this node's replicas",
                 labels={"node": node},
                 fn=lambda n=node: sum(
-                    replica._queue.level
+                    replica.backlog
                     for replica, name in zip(self._replicas, self.replica_nodes)
                     if name == n
                 ),

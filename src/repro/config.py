@@ -303,13 +303,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     "server/network/straggler faults target external serving"
                 )
-            if plan.server_crashes or plan.stragglers:
-                if self.autoscale is not None or self.adaptive_batching is not None:
-                    raise ConfigError(
-                        "server crashes and stragglers do not combine with "
-                        "autoscale or adaptive_batching (those replace the "
-                        "plain worker pool the faults target)"
-                    )
         if self.resilience is not None:
             if is_embedded(self.serving):
                 raise ConfigError("resilience wraps external serving calls only")

@@ -234,19 +234,15 @@ class ExperimentRunner:
                 protocol=protocol,
             )
         tool.tracer = tracer
-        # Metrics install before batching/autoscaling: those layers pick
-        # up the registry from ``tool.metrics`` when wiring their own
-        # instruments.
+        # Metrics install before batching/autoscaling: those policies
+        # register their instruments on ``tool.metrics``.
         tool.install_metrics(registry)
         if config.adaptive_batching is not None:
-            from repro.serving.external.batching import (
-                BatchingPolicy,
-                install_adaptive_batching,
-            )
+            from repro.serving.external.batching import BatchingPolicy
 
             size, delay = config.adaptive_batching
-            install_adaptive_batching(
-                tool, BatchingPolicy(max_size=size, max_delay=delay)
+            tool.configure_pool(
+                batching=BatchingPolicy(max_size=size, max_delay=delay)
             )
         if config.autoscale is not None:
             from repro.serving.external.autoscaler import (

@@ -121,7 +121,6 @@ class FaultInjector:
     def _straggler(self, spec: StragglerReplica) -> typing.Generator:
         yield self.env.timeout(spec.at)
         self.counts["straggler"] += 1
-        worker = spec.worker % self.server.costs.mp
-        self.server.set_straggler(worker, spec.slowdown)
+        worker = self.server.set_straggler(spec.worker, spec.slowdown)
         yield self.env.timeout(spec.duration)
         self.server.clear_straggler(worker)

@@ -107,7 +107,8 @@ class NetworkDegradation:
 class StragglerReplica:
     """One serving worker slows down for a window (a noisy neighbour).
 
-    Inference on worker ``worker % mp`` takes ``slowdown`` times longer
+    Inference on the live worker ``worker`` (by spawn order, modulo the
+    pool's size when the window opens) takes ``slowdown`` times longer
     while the window is open; requests on that worker straggle but do not
     fail.
     """

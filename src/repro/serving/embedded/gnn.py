@@ -8,11 +8,11 @@ conclusion lists as future work for streaming-inference systems.
 
 from __future__ import annotations
 
+import dataclasses
 import typing
 
 from repro.nn.gnn import GcnModel
-from repro.serving.base import ScoringResult
-from repro.serving.costs import ServingCostModel, noise_key
+from repro.serving.costs import ServingCostModel
 from repro.serving.embedded.library import EmbeddedLibrary
 from repro.serving.state import StateStore
 from repro.simul import Environment
@@ -42,23 +42,6 @@ class GnnEmbeddedTool(EmbeddedLibrary):
         span = self.tracer.begin(ctx, "serving.state_read")
         yield from self.store.read_many(bsz * self.gcn.neighborhood_size)
         self.tracer.end(span)
-        wait = self.tracer.begin(ctx, "serving.engine_wait")
-        with self._engine.request() as slot:
-            yield slot
-            self.tracer.end(wait)
-            span = self.tracer.begin(ctx, "serving.inference")
-            yield self.env.service_timeout(
-                self.costs.apply_time(
-                    bsz,
-                    vectorized=vectorized,
-                    now=self.env.now,
-                    key=noise_key(ctx),
-                )
-            )
-            self.tracer.end(span)
-        self.requests_served += 1
-        return ScoringResult(
-            points=bsz,
-            output_values=bsz * self.costs.model.output_values,
-            service_time=self.env.now - start,
-        )
+        result = yield from super().score(bsz, vectorized=vectorized, ctx=ctx)
+        # The call's service time counts the state read.
+        return dataclasses.replace(result, service_time=self.env.now - start)

@@ -93,10 +93,12 @@ def test_config_integration():
     plan = FaultPlan(server_crashes=(ServerCrash(at=1.0),))
     with pytest.raises(ConfigError):
         ExperimentConfig(serving="onnx", fault_plan=plan)  # embedded
-    with pytest.raises(ConfigError):
-        ExperimentConfig(
-            serving="tf_serving", fault_plan=plan, autoscale=(1, 4)
-        )
+    # Crashes and stragglers target the one worker pool, whatever its
+    # size or batching policy.
+    ExperimentConfig(serving="tf_serving", fault_plan=plan, autoscale=(1, 4))
+    ExperimentConfig(
+        serving="tf_serving", fault_plan=plan, adaptive_batching=(8, 0.005)
+    )
     with pytest.raises(ConfigError):
         ExperimentConfig(serving="onnx", resilience=ResiliencePolicy())
     with pytest.raises(ConfigError):

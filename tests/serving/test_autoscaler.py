@@ -166,8 +166,8 @@ def test_step_workers_added_per_decision():
     assert scaler.scale_ups == 1
     assert scaler.desired == 4
     # The 3 scaled-up workers spawn immediately (serving only after the
-    # provisioning delay); the min worker would come from _bootstrap,
-    # which this direct-drive harness skips.
+    # provisioning delay); the min worker would come from load(), which
+    # this direct-drive harness skips.
     assert scaler.live == 3
 
 
@@ -197,5 +197,7 @@ def test_autoscaler_registers_metrics():
     assert live.value() == 0  # nothing spawned before load()
     assert desired.value() == policy.min_workers
     assert ups.value() == 0
-    scaler._bootstrap()
+    env.process(tool.load())
+    env.run(until=tool.costs.load_time() + 0.01)
     assert live.value() == policy.min_workers
+    assert scaler.live == policy.min_workers

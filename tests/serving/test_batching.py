@@ -5,18 +5,15 @@ import pytest
 from repro.config import ExperimentConfig
 from repro.errors import ConfigError
 from repro.serving import create_serving_tool
-from repro.serving.external.batching import (
-    BatchingPolicy,
-    install_adaptive_batching,
-)
+from repro.serving.external.batching import BatchingPolicy
 from repro.simul import Environment
 
 
 def make_batched_tool(max_size=4, max_delay=0.002, mp=1):
     env = Environment()
     tool = create_serving_tool("torchserve", env, "ffnn", mp=mp)
-    install_adaptive_batching(
-        tool, BatchingPolicy(max_size=max_size, max_delay=max_delay)
+    tool.configure_pool(
+        batching=BatchingPolicy(max_size=max_size, max_delay=max_delay)
     )
     return env, tool
 
@@ -46,7 +43,7 @@ def test_install_after_start_rejected():
     env.process(load())
     env.run()
     with pytest.raises(ConfigError):
-        install_adaptive_batching(tool, BatchingPolicy())
+        tool.configure_pool(batching=BatchingPolicy())
 
 
 def test_all_requests_answered():
@@ -76,8 +73,8 @@ def test_coalescing_amortizes_overhead():
         env = Environment()
         tool = create_serving_tool("torchserve", env, "ffnn", mp=1)
         if batched:
-            install_adaptive_batching(
-                tool, BatchingPolicy(max_size=16, max_delay=0.001)
+            tool.configure_pool(
+                batching=BatchingPolicy(max_size=16, max_delay=0.001)
             )
         done = []
 
