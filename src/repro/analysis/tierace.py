@@ -333,6 +333,7 @@ class _TrackedScheduler:
 #: from an empty one, only reads it.
 _STATE_ACCESSES: tuple[tuple[type, str, str, typing.Callable[[typing.Any], str]], ...] = (
     (Resource, "request", "resource", lambda res: "w"),
+    (Resource, "serve", "resource", lambda res: "w"),
     (Resource, "release", "resource", lambda res: "w"),
     (Store, "put", "store", lambda store: "w"),
     (Store, "get", "store", lambda store: "w"),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import typing
 
 from repro import calibration as cal
-from repro.broker.records import ConsumerRecord, RecordMetadata
+from repro.broker.records import ConsumerRecord
 from repro.broker.topic import Topic
 from repro.errors import ConfigError, MessageTooLargeError, UnknownTopicError
 from repro.metrics.registry import NO_METRICS
@@ -29,8 +29,8 @@ from repro.tracing.spans import NO_TRACE
 
 
 class _SpanNames:
-    """The broker span names of one topic, built once when it is created:
-    appends pass them to the tracer on every call, tracing on or off."""
+    """The broker span names of one topic, built once when it is
+    created, so a traced append formats no string."""
 
     __slots__ = ("send", "append_wait", "append", "unavailable", "dwell", "fetch")
 
@@ -41,6 +41,85 @@ class _SpanNames:
         self.unavailable = f"broker.unavailable:{topic}"
         self.dwell = f"broker.dwell:{topic}"
         self.fetch = f"broker.fetch:{topic}"
+
+
+class _Append:
+    """One record on its way into a partition, stepped by kernel
+    callbacks: outage gate -> send transfer -> broker append service
+    (:meth:`~repro.simul.Resource.serve`) -> log append -> ``then``.
+
+    Spans are written only when tracing is on, each once it closes:
+    ``unavailable`` per gate wait, then ``send``, ``append_wait`` (at
+    the grant, from the traced hold) and ``append``.
+    """
+
+    __slots__ = (
+        "cluster", "route", "timestamp", "value", "nbytes", "then", "tracer", "since"
+    )
+
+    def __init__(
+        self,
+        cluster: "BrokerCluster",
+        route: tuple,
+        timestamp: float,
+        value: typing.Any,
+        nbytes: float,
+        then: typing.Callable[[ConsumerRecord], None],
+    ) -> None:
+        self.cluster = cluster
+        self.route = route
+        self.timestamp = timestamp
+        self.value = value
+        self.nbytes = nbytes
+        self.then = then
+        self.tracer = cluster.tracer if cluster.tracer.enabled else None
+        #: When the current stage began (trace spans only).
+        self.since = 0.0
+
+    def admit(self, gate: Event | None = None) -> None:
+        """Start the send, or park on the partition's outage gate: a
+        partition with no leader accepts no write until the outage ends
+        (librdkafka-style internal retries, collapsed into one wait)."""
+        env = self.cluster.env
+        if gate is not None and self.tracer is not None:
+            self.tracer.record(self.value, self.route[3].unavailable, start=self.since)
+        gate = self.cluster._outages.get(self.route[4])
+        self.since = env.now
+        if gate is not None:
+            gate.callbacks.append(self.admit)
+            return
+        sent = env.service_timeout(self.route[2].transfer_time(self.nbytes))
+        sent.callbacks.append(self._sent)
+
+    def _sent(self, event: Event) -> None:
+        broker = self.route[1]
+        if self.tracer is None:
+            appended = broker.serve(self._service())
+        else:
+            self.tracer.record(
+                self.value, self.route[3].send, start=self.since, **self.route[5]
+            )
+            self.since = event.env.now
+            appended = broker.serve(self._granted)
+        appended.callbacks.append(self._appended)
+
+    def _service(self) -> float:
+        return cal.BROKER_APPEND_OVERHEAD + self.nbytes / cal.BROKER_IO_BANDWIDTH
+
+    def _granted(self, now: float) -> float:
+        """The traced hold: the wait for the broker closes at the grant."""
+        self.tracer.record(
+            self.value, self.route[3].append_wait, start=self.since, end=now,
+            **self.route[5],
+        )
+        self.since = now
+        return self._service()
+
+    def _appended(self, event: Event) -> None:
+        log, __, __, names, __, attrs = self.route
+        if self.tracer is not None:
+            self.tracer.record(self.value, names.append, start=self.since, **attrs)
+        self.then(log.append(self.timestamp, self.value, self.nbytes))
 
 
 class BrokerCluster:
@@ -179,11 +258,14 @@ class BrokerCluster:
         value: typing.Any,
         nbytes: float,
         client_node: str | None = None,
-    ) -> typing.Generator:
-        """Coroutine: network transfer + broker append service.
-
-        Returns :class:`RecordMetadata`; the record's ``log_append_time``
-        is the broker clock when the append completes (§3.3 step 5).
+        *,
+        then: typing.Callable[[ConsumerRecord], None],
+    ) -> None:
+        """Write one record: network transfer, then the owning broker's
+        append service. Kernel callbacks drive it, not a process, and
+        ``then(record)`` gets the appended :class:`ConsumerRecord`; its
+        ``log_append_time`` is the broker clock when the append
+        completes (§3.3 step 5).
         """
         if nbytes > self.max_request_bytes:
             raise MessageTooLargeError(
@@ -194,35 +276,7 @@ class BrokerCluster:
         route = self._routes.get(key)
         if route is None:
             route = self._routes[key] = self._route(topic, partition, client_node)
-        log, broker, link, names, outage_key, attrs = route
-        # An unavailable partition has no leader to accept the write: the
-        # producer's delivery blocks until the outage ends (librdkafka-style
-        # internal retries, collapsed into one wait).
-        while True:
-            gate = self._outages.get(outage_key)
-            if gate is None:
-                break
-            span = self.tracer.begin(value, names.unavailable)
-            yield gate
-            self.tracer.end(span)
-        span = self.tracer.begin(value, names.send, **attrs)
-        yield self.env.service_timeout(link.transfer_time(nbytes))
-        self.tracer.end(span)
-        wait = self.tracer.begin(value, names.append_wait, **attrs)
-        with broker.request() as req:
-            yield req
-            self.tracer.end(wait)
-            span = self.tracer.begin(value, names.append, **attrs)
-            service = cal.BROKER_APPEND_OVERHEAD + nbytes / cal.BROKER_IO_BANDWIDTH
-            yield self.env.service_timeout(service)
-            record = log.append(timestamp, value, nbytes)
-            self.tracer.end(span)
-        return RecordMetadata(
-            topic=topic,
-            partition=partition,
-            offset=record.offset,
-            log_append_time=record.log_append_time,
-        )
+        _Append(self, route, timestamp, value, nbytes, then).admit()
 
     def fetch(
         self,
@@ -239,16 +293,13 @@ class BrokerCluster:
         log = self.topic(topic).partition(partition)
         records = log.fetch(offset, max_records)
         fetch_start = self.env.now
-        broker = self.broker_for(topic, partition)
-        with broker.request() as req:
-            yield req
-            nbytes = sum(r.nbytes for r in records)
-            service = cal.BROKER_FETCH_OVERHEAD + nbytes / cal.BROKER_IO_BANDWIDTH
-            yield self.env.service_timeout(service)
+        nbytes = sum(r.nbytes for r in records)
+        yield self.broker_for(topic, partition).serve(
+            cal.BROKER_FETCH_OVERHEAD + nbytes / cal.BROKER_IO_BANDWIDTH
+        )
         if records:
-            total = sum(r.nbytes for r in records)
             yield self.env.service_timeout(
-                self._link_for(partition, client_node).transfer_time(total)
+                self._link_for(partition, client_node).transfer_time(nbytes)
             )
         self._trace_fetched(topic, records, fetch_start)
         return list(records)
@@ -294,12 +345,10 @@ class BrokerCluster:
         # The fetch response is served by the broker owning the first
         # requested partition; size-based costs dominate anyway.
         first = next(iter(offsets))
-        broker = self.broker_for(topic, first)
         nbytes = sum(r.nbytes for r in records) if data_transfer else 0.0
-        with broker.request() as req:
-            yield req
-            service = cal.BROKER_FETCH_OVERHEAD + nbytes / cal.BROKER_IO_BANDWIDTH
-            yield self.env.service_timeout(service)
+        yield self.broker_for(topic, first).serve(
+            cal.BROKER_FETCH_OVERHEAD + nbytes / cal.BROKER_IO_BANDWIDTH
+        )
         if records and data_transfer:
             yield self.env.service_timeout(
                 self._link_for(first, client_node).transfer_time(nbytes)

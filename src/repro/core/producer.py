@@ -16,11 +16,11 @@ from __future__ import annotations
 import typing
 
 from repro import calibration as cal
-from repro.broker import BrokerCluster, Producer
+from repro.broker import BrokerCluster, ConsumerRecord, Producer
 from repro.core.batch import CrayfishDataBatch
 from repro.core.generator import BatchFactory, RateSchedule
 from repro.netsim import json_payload
-from repro.simul import Environment
+from repro.simul import Environment, Event
 from repro.sps.gateways import DirectInput
 from repro.tracing.spans import NO_TRACE
 
@@ -61,23 +61,36 @@ class InputProducerBase:
     def _generation_cost(self, batch: CrayfishDataBatch) -> float:
         return batch.input_values * cal.GENERATOR_PER_VALUE
 
-    def _deliver(self, batch: CrayfishDataBatch) -> typing.Generator:
-        """Coroutine: encode on the producer VM and write to the topic."""
+    def _deliver(self, batch: CrayfishDataBatch) -> None:
+        """Encode on the producer VM, then write to the topic. Kernel
+        callbacks step the delivery, so it starts no process; the
+        partition-outage gate is read when the encoding ends."""
         if self.direct is not None:
             self.direct.push(batch)
             self.batches_produced += 1
             return
         payload = json_payload(batch.input_values)
-        payload_bytes = payload.nbytes
-        span = self.tracer.begin(batch, "producer.serialize")
-        yield self.env.service_timeout(payload.encode_cost)
-        self.tracer.end(span)
-        yield from self._producer.send(
+        span = None
+        if self.tracer.enabled:
+            span = self.tracer.begin(batch, "producer.serialize")
+        encoded = self.env.service_timeout(
+            payload.encode_cost, value=(batch, payload.nbytes, span)
+        )
+        encoded.callbacks.append(self._encoded)
+
+    def _encoded(self, event: Event) -> None:
+        batch, nbytes, span = event.value
+        if span is not None:
+            self.tracer.end(span)
+        self._producer.send(
             self.topic,
             value=batch,
-            nbytes=payload_bytes,
+            nbytes=nbytes,
             timestamp=batch.created_at,
+            then=self._delivered,
         )
+
+    def _delivered(self, record: ConsumerRecord) -> None:
         self.batches_produced += 1
 
 
@@ -97,7 +110,7 @@ class PacedProducer(InputProducerBase):
             span = self.tracer.begin(batch, "producer.generate")
             yield self.env.service_timeout(self._generation_cost(batch))
             self.tracer.end(span)
-            self.env.process(self._deliver(batch))
+            self._deliver(batch)
             interval = 1.0 / rate
             elapsed = self.env.now - now
             if interval > elapsed:
@@ -138,5 +151,5 @@ class SaturatingProducer(InputProducerBase):
                 # Deliveries run concurrently: the 4-vCPU producer VM and
                 # the broker cluster are sized so generation is never the
                 # bottleneck (§3.5's Kafka check).
-                self.env.process(self._deliver(batch))
+                self._deliver(batch)
             yield self.env.service_timeout(self.poll_interval)

@@ -73,16 +73,14 @@ class ModelInfo:
     output_shape: tuple[int, ...]
     param_count: int
     flops_per_point: float
+    #: Scalar values in one input point and in one prediction: read on
+    #: every scoring call, so computed once, from the shapes.
+    input_values: int = dataclasses.field(init=False)
+    output_values: int = dataclasses.field(init=False)
 
-    @property
-    def input_values(self) -> int:
-        """Scalar values in one input point."""
-        return int(math.prod(self.input_shape))
-
-    @property
-    def output_values(self) -> int:
-        """Scalar values in one prediction."""
-        return int(math.prod(self.output_shape))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "input_values", int(math.prod(self.input_shape)))
+        object.__setattr__(self, "output_values", int(math.prod(self.output_shape)))
 
 
 @functools.lru_cache(maxsize=None)

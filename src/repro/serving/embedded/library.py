@@ -46,20 +46,18 @@ class EmbeddedLibrary(ServingTool):
     ) -> typing.Generator:
         self._require_loaded()
         start = self.env.now
-        wait = self.tracer.begin(ctx, "serving.engine_wait")
-        with self._engine.request() as slot:
-            yield slot
-            self.tracer.end(wait)
-            span = self.tracer.begin(ctx, "serving.inference", gpu=self.costs.gpu)
-            yield self.env.service_timeout(
-                self.costs.apply_time(
-                    bsz,
-                    vectorized=vectorized,
-                    now=self.env.now,
-                    key=noise_key(ctx),
-                )
-            )
-            self.tracer.end(span)
+        key = noise_key(ctx)
+        tracer = self.tracer if self.tracer.enabled else None
+
+        def inference_time(granted: float) -> float:
+            # Drawn at the grant: the slow-modulation bucket reads it.
+            if tracer is not None:
+                tracer.record(ctx, "serving.engine_wait", start=start, end=granted)
+            return self.costs.apply_time(bsz, vectorized=vectorized, now=granted, key=key)
+
+        granted = yield self._engine.serve(inference_time)
+        if tracer is not None:
+            tracer.record(ctx, "serving.inference", start=granted, gpu=self.costs.gpu)
         self.requests_served += 1
         return ScoringResult(
             points=bsz,

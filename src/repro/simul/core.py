@@ -8,6 +8,7 @@ import typing
 from repro.errors import SimulationError
 from repro.simul.events import AllOf, AnyOf, Event, NORMAL, PENDING, Timeout
 from repro.simul.process import Process
+from repro.simul.resources import Serve
 from repro.simul.scheduler import HeapScheduler
 
 
@@ -96,14 +97,22 @@ class Environment:
             # A failed event nobody was waiting on (e.g. a crashed process
             # without a watcher): surface the error rather than drop it.
             raise typing.cast(BaseException, event._value)
-        if type(event) is Timeout and event._slab:
-            # Slab-allocated service timeout: every callback has run, so
-            # the object can be recycled by the next service_timeout().
-            pool = self._timeout_pool
-            if len(pool) < _TIMEOUT_POOL_CAP:
-                event._ok = True
-                event._value = PENDING
-                pool.append(event)
+        cls = type(event)
+        if cls is Timeout:
+            if event._slab:
+                # Slab-allocated service timeout: every callback has run,
+                # so the object can be recycled by the next
+                # service_timeout().
+                pool = self._timeout_pool
+                if len(pool) < _TIMEOUT_POOL_CAP:
+                    event._ok = True
+                    event._value = PENDING
+                    pool.append(event)
+        elif cls is Serve:
+            # A holder's stay ends after its callbacks ran: as when its
+            # process left ``with request()``, what it scheduled in this
+            # step precedes the next holder's completion.
+            event.resource._finish(event)
 
     def run(self, until: float | Event | None = None) -> object:
         """Run until the given time, event, or event-queue exhaustion.

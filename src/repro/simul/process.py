@@ -6,6 +6,7 @@ import typing
 
 from repro.errors import SimulationError
 from repro.simul.events import Event, PENDING, URGENT
+from repro.simul.resources import Serve
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simul.core import Environment
@@ -78,12 +79,18 @@ class Process(Event):
             # Neutralize abandoned requests: stores and resources skip
             # already-triggered waiters, so a queued get/put/request left
             # behind by the interrupt can never consume an item or slot.
-            if not self._target.triggered:
-                self._target.succeed(Interrupt(cause))
+            target = self._target
+            if not target.triggered:
+                target.succeed(Interrupt(cause))
                 # ... and tell the owning resource/store eagerly, so
                 # cancelled waiters don't pile up in its wait queue
                 # until the next dispatch happens to walk past them.
-                self._target._abandon()
+                target._abandon()
+            if target.__class__ is Serve:
+                # A served wait gives up its place or slot as the
+                # interrupt lands, where unwinding ``with request()``
+                # would release it.
+                event.callbacks.insert(0, target._vacate)
         self._target = None
         self.env.schedule(event, URGENT)
 

@@ -11,7 +11,7 @@ import collections
 import typing
 
 from repro.errors import SimulationError
-from repro.simul.events import Event
+from repro.simul.events import NORMAL, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simul.core import Environment
@@ -51,6 +51,41 @@ class Request(Event):
     def __exit__(self, *exc_info: object) -> None:
         self.resource.release(self)
 
+    def _grant(self) -> None:
+        self.succeed()
+
+
+class Serve(Event):
+    """One holder's whole stay at a :class:`Resource`, made by
+    :meth:`Resource.serve`. ``Environment.step`` frees its slot after
+    its callbacks ran (:meth:`Resource._finish`)."""
+
+    __slots__ = ("resource", "hold")
+
+    resource: "Resource"
+    hold: float | typing.Callable[[float], float]
+
+    def _abandon(self) -> None:
+        self.resource._mark_stale()
+
+    def _grant(self) -> None:
+        env = self.env
+        now = env._now
+        hold = self.hold
+        if callable(hold):
+            hold = hold(now)
+        if not hold >= 0:
+            raise SimulationError(f"hold must be >= 0, got {hold}")
+        self._value = now
+        seq = env._seq = env._seq + 1
+        env._push((now + hold, NORMAL, seq, self))
+
+    def _vacate(self, event: Event) -> None:
+        """Interrupt callback: leave the queue, or free the slot, before
+        the waiter's generator sees the interrupt, as unwinding ``with
+        request()`` does. A completion still due fires and frees nothing."""
+        self.resource.release(self)
+
 
 class Resource:
     """``capacity`` identical slots with a FIFO wait queue."""
@@ -60,8 +95,8 @@ class Resource:
             raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self.users: list[Request] = []
-        self.queue: collections.deque[Request] = collections.deque()
+        self.users: list[Request | Serve] = []
+        self.queue: collections.deque[Request | Serve] = collections.deque()
         self._stale = 0
 
     @property
@@ -71,6 +106,28 @@ class Resource:
 
     def request(self) -> Request:
         return Request(self)
+
+    def serve(self, hold: float | typing.Callable[[float], float]) -> Serve:
+        """Hold one slot for ``hold`` once granted, as one event.
+
+        Shares the slots and the FIFO queue with :meth:`request`. The
+        grant schedules the returned event once, at grant + hold; it
+        fires with the grant time as its value, and the slot is freed in
+        that step. ``hold`` is a float, or a function of the grant time
+        that returns it. Same floats as ``with request(): yield req;
+        yield timeout(hold)``, with no grant event. A process interrupted
+        while waiting on it leaves the queue, or frees the slot, when
+        the interrupt lands, where unwinding that block would release.
+        """
+        serve = Serve(self.env)
+        serve.resource = self
+        serve.hold = hold
+        if len(self.users) < self.capacity:
+            self.users.append(serve)
+            serve._grant()
+        else:
+            self.queue.append(serve)
+        return serve
 
     def _enqueue(self, request: Request) -> None:
         if len(self.users) < self.capacity:
@@ -91,7 +148,7 @@ class Resource:
             self.queue = _compact(self.queue)
             self._stale = 0
 
-    def release(self, request: Request) -> None:
+    def release(self, request: Request | Serve) -> None:
         """Return a slot; hands it to the longest-waiting request."""
         try:
             self.users.remove(request)
@@ -102,6 +159,19 @@ class Resource:
             except ValueError:
                 pass
             return
+        self._grant_next()
+
+    def _finish(self, serve: Serve) -> None:
+        """A :class:`Serve` completion was processed: free its slot,
+        unless an interrupt already did."""
+        try:
+            self.users.remove(serve)
+        except ValueError:
+            return
+        if self.queue:
+            self._grant_next()
+
+    def _grant_next(self) -> None:
         while self.queue:
             waiter = self.queue.popleft()
             if waiter.triggered:
@@ -111,7 +181,7 @@ class Resource:
                     self._stale -= 1
                 continue
             self.users.append(waiter)
-            waiter.succeed()
+            waiter._grant()
             break
 
 

@@ -17,7 +17,7 @@ from repro.metrics.registry import NO_METRICS
 from repro.netsim import json_payload
 from repro.serving.base import ServingTool
 from repro.simul import Environment, Interrupt, Process
-from repro.sps.gateways import InputGateway, OutputGateway, SourceHandle
+from repro.sps.gateways import EmitCallback, InputGateway, OutputGateway, SourceHandle
 from repro.tracing.spans import NO_TRACE
 
 #: Called with (batch, end_timestamp) when a batch leaves the pipeline.
@@ -141,18 +141,37 @@ class DataProcessor:
     def commit(self) -> None:
         """Commit the open transaction with a completed checkpoint.
 
-        One process emits the held batches in batch-id order, so the
-        output log's order does not depend on which task's sink reached
-        the transaction first within a tie."""
+        The held batches are emitted one at a time in batch-id order, so
+        the output log's order does not depend on which task's sink
+        reached the transaction first within a tie."""
         if not self.transaction:
             return
         held, self.transaction = self.transaction, []
         held.sort(key=lambda batch: batch.batch_id)
-        self.env.process(self._commit_process(held))
+        batches = iter(held)
+        in_emit = landed_in_emit = False
 
-    def _commit_process(self, held: list[CrayfishDataBatch]) -> typing.Generator:
-        for batch in held:
-            yield from self._emit_process(batch)
+        def landed(batch: CrayfishDataBatch, end_time: float) -> None:
+            nonlocal landed_in_emit
+            self._emitted(batch, end_time)
+            if in_emit:
+                landed_in_emit = True
+            else:
+                emit_rest()
+
+        def emit_rest() -> None:
+            # Each emit starts once the previous one has landed. A direct
+            # sink lands inside _emit: the loop goes on then, so a long
+            # commit does not recurse.
+            nonlocal in_emit, landed_in_emit
+            for batch in batches:
+                in_emit, landed_in_emit = True, False
+                self._emit(batch, landed)
+                in_emit = False
+                if not landed_in_emit:
+                    return
+
+        emit_rest()
 
     def checkpoint_positions(self) -> list[dict[int, int]]:
         """Source offsets per handle, in creation order (a checkpoint)."""
@@ -216,14 +235,10 @@ class DataProcessor:
         self.batches_completed += 1
         # The root span closes at the same end timestamp the metrics
         # collector records, so root duration == measured e2e latency.
-        self.tracer.close_root(batch, end_time)
+        if self.tracer.enabled:
+            self.tracer.close_root(batch, end_time)
         if self.on_complete is not None:
             self.on_complete(batch, end_time)
-
-    def _emit(self, batch: CrayfishDataBatch) -> typing.Generator:
-        """Sink-side delivery; returns the end timestamp (blocking form)."""
-        end_time = yield from self.output.emit(batch, self.output_nbytes(batch))
-        return end_time
 
     def emit_and_complete(self, batch: CrayfishDataBatch) -> None:
         """Fire-and-forget produce: Kafka producers buffer and send
@@ -233,12 +248,14 @@ class DataProcessor:
         if self.transaction is not None:
             self.transaction.append(batch)
             return
-        self.env.process(self._emit_process(batch))
+        self._emit(batch, self._emitted)
 
-    def _emit_process(self, batch: CrayfishDataBatch) -> typing.Generator:
+    def _emit(self, batch: CrayfishDataBatch, then: EmitCallback) -> None:
+        """Sink-side delivery, stepped by kernel callbacks (no process):
+        ``then(batch, end_time)`` runs once the output record lands."""
         self._emits_inflight += 1
-        try:
-            end_time = yield from self._emit(batch)
-        finally:
-            self._emits_inflight -= 1
+        self.output.emit(batch, self.output_nbytes(batch), then)
+
+    def _emitted(self, batch: CrayfishDataBatch, end_time: float) -> None:
+        self._emits_inflight -= 1
         self._complete(batch, end_time)

@@ -59,16 +59,18 @@ class SourceHandle:
         """Restore a checkpointed read position (no-op by default)."""
 
 
+#: Called with (batch, end_timestamp) once an output record is delivered.
+EmitCallback = typing.Callable[[CrayfishDataBatch, float], None]
+
+
 class OutputGateway:
     """Where sink operators write scored events to."""
 
     charges_serde: bool = True
 
-    def emit(
-        self, batch: CrayfishDataBatch, nbytes: float
-    ) -> typing.Generator:
-        """Coroutine: deliver one output record; returns the end timestamp
-        (broker LogAppendTime, or local time in direct mode)."""
+    def emit(self, batch: CrayfishDataBatch, nbytes: float, then: EmitCallback) -> None:
+        """Deliver one output record, then call ``then`` with the end
+        timestamp (broker LogAppendTime, or local time in direct mode)."""
         raise NotImplementedError
 
 
@@ -130,11 +132,14 @@ class BrokerOutput(OutputGateway):
         self.producer = Producer(env, cluster, node=node)
         self.topic = topic
 
-    def emit(self, batch: CrayfishDataBatch, nbytes: float) -> typing.Generator:
-        metadata = yield from self.producer.send(
-            self.topic, value=batch, nbytes=nbytes, timestamp=batch.created_at
+    def emit(self, batch: CrayfishDataBatch, nbytes: float, then: EmitCallback) -> None:
+        self.producer.send(
+            self.topic,
+            value=batch,
+            nbytes=nbytes,
+            timestamp=batch.created_at,
+            then=lambda record: then(batch, record.log_append_time),
         )
-        return metadata.log_append_time
 
 
 # -- Direct (standalone, Fig. 13) --------------------------------------------
@@ -188,6 +193,5 @@ class DirectOutput(OutputGateway):
     def __init__(self, env: Environment) -> None:
         self.env = env
 
-    def emit(self, batch: CrayfishDataBatch, nbytes: float) -> typing.Generator:
-        return self.env.now
-        yield  # pragma: no cover - generator marker
+    def emit(self, batch: CrayfishDataBatch, nbytes: float, then: EmitCallback) -> None:
+        then(batch, self.env.now)

@@ -1,6 +1,7 @@
 """Checkpoint/replay recovery, the one path every engine takes."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -157,3 +158,37 @@ def test_external_serving_with_engine_recovery():
     )
     assert result.faults.engine_failures == 1
     assert result.completed > 0
+
+
+def test_crash_inside_a_fetch_with_an_append_queued_behind_it(monkeypatch):
+    """The crash lands while a stream thread's fetch holds a broker and
+    an input append waits behind it: the fetch gives its slot up at the
+    crash and the append is served from there. Pinned by the sha256 of
+    the full result record, which the request/release broker path gave
+    too."""
+    at_crash = []
+    crash = DataProcessor.crash
+
+    def watched(self):
+        tasks = set(self._task_processes)
+        for broker in self.input.cluster._brokers:
+            holders = {
+                getattr(callback, "__self__", None)
+                for user in broker.users
+                for callback in user.callbacks or ()
+            }
+            at_crash.append((bool(holders & tasks), len(broker.queue)))
+        crash(self)
+
+    monkeypatch.setattr(DataProcessor, "crash", watched)
+    result = ExperimentRunner(
+        config(
+            mp=8, ir=4000.0, duration=2.0, recovery_time=0.3,
+            warmup_fraction=0.0, failure_times=(1.00389,),
+        )
+    ).run()
+    assert (True, 1) in at_crash
+    record = json.dumps(result_record(result), sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest() == (
+        "69296b1c1d32405b13520b27a7e95ff83564883ff857ac5ecb6fe6f9e5a47416"
+    )

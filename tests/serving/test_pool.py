@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.config import ExperimentConfig
 from repro.core.results_io import result_record
 from repro.core.runner import ExperimentRunner, run_experiment
@@ -148,6 +150,58 @@ def test_crash_under_batching_interrupts_the_dispatcher_and_fails_groups():
     assert len(daemons) == 1 and daemons[0].is_alive
     assert len(workers) == seen["size"] == 2
     assert all(log.count("ok") >= 39 for log in outcomes)
+
+
+@pytest.mark.parametrize(
+    "batching, clients",
+    [(None, 1), ((4, 0.01), 1), ((4, 0.5), 2)],
+    ids=["pool", "batching", "gathering"],
+)
+def test_crash_fails_the_request_a_triggered_get_took(batching, clients):
+    """A request put in the crash's own step, after a get was triggered
+    with it but before the process waiting on that get resumed, is in
+    flight: the crash fails its reply, so its client does not wait
+    forever. The get is an idle worker's, the batching dispatcher's
+    (one client), or the one the dispatcher gathers a group with (the
+    second client's request joins the first's group)."""
+    env = Environment()
+    tool = create_serving_tool("tf_serving", env, "ffnn", mp=1)
+    if batching is not None:
+        tool.configure_pool(batching=BatchingPolicy(*batching))
+    put = tool._queue.put
+    puts = []
+
+    def put_then_crash(item):
+        event = put(item)
+        puts.append(item)
+        if len(puts) == clients:
+            tool.crash()
+        return event
+
+    tool._queue.put = put_then_crash
+    logs = [[] for __ in range(clients)]
+
+    def client(log, delay):
+        yield env.timeout(delay)
+        while len(log) < 3:
+            try:
+                yield from tool.score(1)
+                log.append("ok")
+            except TransientError:
+                log.append("failed")
+                yield env.timeout(1.0)
+
+    def driver():
+        yield from tool.load()
+        for index, log in enumerate(logs):
+            env.process(client(log, 0.01 * index))
+        yield env.timeout(1.0)
+        yield from tool.restart()
+
+    env.process(driver())
+    env.run(until=5.0)
+    assert tool.crashes == 1
+    assert all(log[:1] == ["failed"] and "ok" in log for log in logs), logs
 
 
 def test_crash_and_autoscale_run_end_to_end():

@@ -87,6 +87,20 @@ def test_exactly_once_latency_quantized_by_checkpoints():
     assert alo.latency.mean < 0.05
 
 
+def test_exactly_once_commit_through_a_direct_sink():
+    """The standalone sink lands each held batch inside its emit, so a
+    commit of thousands of batches runs as one loop (no recursion per
+    batch) and still delivers each batch once."""
+    result = run_experiment(
+        config(
+            ir=3000.0, duration=3.0, use_broker=False,
+            delivery_guarantee="exactly_once",
+        )
+    )
+    assert result.duplicates == 0
+    assert result.completed > 3000
+
+
 def test_multiple_failures():
     result = run_experiment(config(failure_times=(2.0, 4.0)))
     assert result.duplicates > 0

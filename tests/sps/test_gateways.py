@@ -77,12 +77,7 @@ def test_broker_output_returns_log_append_time():
     cluster.create_topic("out", 1)
     gateway = BrokerOutput(env, cluster, "out")
     ends = []
-
-    def emit():
-        end = yield from gateway.emit(batch(0, created_at=0.0), nbytes=100)
-        ends.append(end)
-
-    env.process(emit())
+    gateway.emit(batch(0, created_at=0.0), 100, lambda b, end: ends.append(end))
     env.run()
     assert ends[0] > 0
     assert cluster.topic("out").total_records() == 1
@@ -131,8 +126,8 @@ def test_direct_output_is_immediate():
 
     def emit():
         yield env.timeout(2.5)
-        end = yield from gateway.emit(batch(0), nbytes=0)
-        ends.append(end)
+        gateway.emit(batch(0), 0, lambda b, end: ends.append(end))
+        assert ends == [2.5]  # landed in place, before the emitter resumes
 
     env.process(emit())
     env.run()
