@@ -59,8 +59,11 @@ SECTIONS = [
         "Table 2 — model characteristics",
         "The FFNN and ResNet-50 are real architectures (`repro.nn.zoo`); "
         "parameter counts and tensor shapes are computed, not configured. "
-        "Serialized sizes come from actually writing the four artifact "
-        "formats. Asserted: parameter counts in the paper's ranges; "
+        "Artifact sizes are analytic: float32 weight bytes plus a fixed "
+        "per-format envelope, which is this repo's own ONNX-, Torch-, H5- "
+        "and SavedModel-like framing (a design choice, not a measurement); "
+        "ResNet-50's column is its weight bytes. Asserted: parameter "
+        "counts in the paper's ranges; "
         "artifact-size ordering ONNX <= Torch < H5 << SavedModel with the "
         "~4.5x SavedModel/ONNX ratio for the small model. Note: we count "
         "ResNet-50's full 25.6M parameters where the paper rounds to 23M.",

@@ -1,56 +1,50 @@
-"""A real image-classification pipeline, end to end.
+"""An image-classification pipeline, end to end.
 
-This example uses the parts of the library that actually compute:
-
-1. builds the paper's FFNN Fashion-MNIST classifier with real NumPy
-   weights and classifies a batch of synthetic images,
-2. exports it to every model format of Table 2 and verifies the ONNX
-   round trip returns identical predictions,
-3. benchmarks the serving alternatives for exactly this model on Flink
+1. builds the paper's FFNN Fashion-MNIST classifier and prints the
+   numbers the simulator serves it by: input and output shape,
+   parameters, FLOPs per image, and the float32 weight bytes a tool
+   loads,
+2. benchmarks the serving alternatives for exactly this model on Flink
    and prints which tool meets a 1 ms/event service target.
 
 Run:  python examples/image_classification_pipeline.py
 """
 
-import tempfile
-
-import numpy as np
-
 from repro.config import ExperimentConfig
 from repro.core.report import format_rate, format_table
 from repro.core.runner import run_experiment
-from repro.nn.formats import FORMATS, serialized_size
-from repro.nn.zoo import get_model
+from repro.nn.zoo import build_ffnn
 
 SERVING_TOOLS = ["onnx", "savedmodel", "dl4j", "tf_serving", "torchserve"]
 TARGET_RATE = 1000.0  # events/s the application must sustain
 
 
 def main() -> None:
-    # -- 1. real inference -------------------------------------------------
-    model = get_model("ffnn", seed=42)
-    rng = np.random.default_rng(7)
-    images = rng.random((16, 28, 28), dtype=np.float32)
-    probabilities = model.predict(images)
-    labels = probabilities.argmax(axis=1)
-    print(f"classified {len(images)} images; first five labels: {labels[:5]}")
-    print(f"probability rows sum to {probabilities.sum(axis=1).round(4)[:3]}...")
+    # -- 1. the model as the simulator sees it ------------------------------
+    model = build_ffnn()
+    rows = [
+        (
+            type(layer).__name__,
+            "x".join(str(d) for d in layer.output_shape),
+            f"{layer.param_count:,}",
+            f"{layer.flops_per_point:,.0f}",
+        )
+        for layer in model.layers
+    ]
+    print(
+        format_table(
+            ["layer", "output", "parameters", "FLOPs/image"],
+            rows,
+            title=f"{model.name} over 28x28 images, layer by layer",
+        )
+    )
+    print(
+        f"total: {model.param_count:,} parameters, "
+        f"{model.flops_per_point / 1e3:,.1f} kFLOPs per image, "
+        f"{model.param_count * 4 / 1024:,.0f} KB of float32 weights to load"
+    )
 
-    # -- 2. model artifacts -------------------------------------------------
-    with tempfile.TemporaryDirectory() as workdir:
-        rows = []
-        for fmt in sorted(FORMATS):
-            size_kb = serialized_size(model, fmt, workdir) / 1024
-            rows.append((fmt, f"{size_kb:.0f} KB"))
-        print()
-        print(format_table(["format", "artifact size"], rows, title="Exported artifacts"))
-
-        onnx = FORMATS["onnx"]
-        restored = onnx.loads(onnx.dumps(model))
-        assert np.allclose(restored.predict(images), probabilities)
-        print("ONNX round trip verified: identical predictions.")
-
-    # -- 3. pick a serving tool for this model -----------------------------
+    # -- 2. pick a serving tool for this model -----------------------------
     rows = []
     for tool in SERVING_TOOLS:
         config = ExperimentConfig(

@@ -21,15 +21,12 @@ LATENCY_BUDGET_MS = 5.0
 
 
 def make_builder(width: int):
-    def build(initialize: bool = False, seed: int = 0) -> Sequential:
+    def build() -> Sequential:
         layers = [Flatten((28, 28)), Dense((784,), width), ReLU((width,))]
         for __ in range(2):
             layers += [Dense((width,), width), ReLU((width,))]
         layers += [Dense((width,), 10), Softmax((10,))]
-        model = Sequential(layers, name=f"ffnn_w{width}")
-        if initialize:
-            model.initialize(seed)
-        return model
+        return Sequential(layers, name=f"ffnn_w{width}")
 
     return build
 
@@ -50,7 +47,7 @@ def main() -> None:
             duration=16.0,
         )
         result = run_experiment(config)
-        params = make_builder(width)(initialize=False).param_count
+        params = make_builder(width)().param_count
         latency_ms = result.latency.mean * 1e3
         verdict = "fits budget" if latency_ms <= LATENCY_BUDGET_MS else "over budget"
         rows.append(

@@ -2,19 +2,18 @@
 
 "The data generator is general enough to cover a wide range of ML
 models": 2D/3D tensors for CNNs, sequence data for RNNs, and
-autoencoders producing compact representations. This tour runs a real
-forward pass of each class, then benchmarks the same architectures in
-the streaming pipeline across an embedded and an external serving tool.
+autoencoders producing compact representations. This tour prints what
+the simulator knows of each class (shapes, parameters, FLOPs), then
+benchmarks the same architectures in the streaming pipeline across an
+embedded and an external serving tool.
 
 Run:  python examples/model_class_tour.py
 """
 
-import numpy as np
-
 from repro.config import ExperimentConfig
 from repro.core.report import format_table
 from repro.core.runner import run_experiment
-from repro.nn.zoo import build_autoencoder, build_ffnn, build_gru, model_info
+from repro.nn.zoo import model_info
 
 MODELS = {
     "ffnn": "dense classifier (Fashion-MNIST images)",
@@ -24,21 +23,26 @@ MODELS = {
 }
 
 
-def real_forward_demo() -> None:
-    rng = np.random.default_rng(0)
-
-    ffnn = build_ffnn(initialize=True, seed=0)
-    images = rng.random((4, 28, 28), dtype=np.float32)
-    print("ffnn        ->", ffnn.predict(images).argmax(axis=1), "(class ids)")
-
-    gru = build_gru(initialize=True, seed=0)
-    sequences = rng.standard_normal((4, 32, 64)).astype(np.float32)
-    print("gru         ->", gru.predict(sequences).argmax(axis=1), "(class ids)")
-
-    autoencoder = build_autoencoder(initialize=True, seed=0)
-    windows = rng.random((4, 28, 28), dtype=np.float32)
-    errors = ((autoencoder.predict(windows) - windows.reshape(4, -1)) ** 2).mean(axis=1)
-    print("autoencoder ->", np.round(errors, 4), "(reconstruction errors)")
+def shape_table() -> None:
+    rows = []
+    for model in MODELS:
+        info = model_info(model)
+        rows.append(
+            (
+                model,
+                "x".join(str(d) for d in info.input_shape),
+                "x".join(str(d) for d in info.output_shape),
+                f"{info.param_count:,}",
+                f"{info.param_count * 4 / 1e6:,.2f}",
+            )
+        )
+    print(
+        format_table(
+            ["model", "input", "output", "parameters", "weight MB"],
+            rows,
+            title="What the simulator reads of each model class",
+        )
+    )
 
 
 def streaming_benchmark() -> None:
@@ -72,8 +76,7 @@ def streaming_benchmark() -> None:
 
 
 def main() -> None:
-    print("Real forward passes, one per model class:")
-    real_forward_demo()
+    shape_table()
     print()
     streaming_benchmark()
     print()

@@ -31,21 +31,16 @@ class CrayfishDataBatch:
     #: Trace context when this record is head-sampled for tracing;
     #: None (the default) means untraced — the zero-overhead path.
     trace: TraceContext | None = None
+    #: Total scalar values carried: read twice per record (serialize and
+    #: decode), so computed once, from the shape.
+    input_values: int = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
         if self.points < 1:
             raise ConfigError(f"batch needs >= 1 point, got {self.points}")
         if not self.point_shape or any(d < 1 for d in self.point_shape):
             raise ConfigError(f"invalid point shape {self.point_shape}")
-
-    @property
-    def values_per_point(self) -> int:
-        return int(math.prod(self.point_shape))
-
-    @property
-    def input_values(self) -> int:
-        """Total scalar values carried."""
-        return self.points * self.values_per_point
+        self.input_values = self.points * int(math.prod(self.point_shape))
 
     def input_json_bytes(self) -> float:
         """Wire size of the batch as Crayfish's JSON encoding."""

@@ -2,9 +2,9 @@
 
 The input producer (§3.1) generates tensor-like data of user-defined size
 and shape at a constant rate or with periodic bursts (Table 1). Data
-*content* is irrelevant to inference latency (§4.1), so the simulated
-pipeline carries batch descriptors; the real-array path for applications
-lives in :mod:`repro.nn`.
+*content* is irrelevant to inference latency (§4.1), so the pipeline
+carries batch descriptors (count and shape) and no arrays; the model
+side is likewise shapes and FLOPs only (:mod:`repro.nn`).
 """
 
 from __future__ import annotations

@@ -30,10 +30,6 @@ class MessageTooLargeError(BrokerError):
     """A record exceeded the broker's ``max.request.size``."""
 
 
-class ModelFormatError(ReproError):
-    """A serialized model artifact is malformed or of the wrong format."""
-
-
 class ShapeError(ReproError):
     """Tensor shapes do not line up in the NN library."""
 

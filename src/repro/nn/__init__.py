@@ -1,11 +1,11 @@
-"""A small, real neural-network inference library on NumPy.
+"""A shape-only model zoo: architectures, shape algebra, params and FLOPs.
 
-This package provides the "pre-trained models" of the study: genuine
-FFNN and ResNet-50 architectures whose parameter counts, FLOPs, and
-serialized sizes are real (Table 2), and whose ``forward`` actually
-computes. Layers are constructed with explicit shapes; weights are
-materialized lazily so cost models can query FLOPs/params without
-allocating hundreds of megabytes.
+This package provides the "pre-trained models" of the study as their
+architectures: genuine FFNN and ResNet-50 layer stacks whose input and
+output shapes, parameter counts and FLOPs are real (Table 2). The
+simulator reads nothing else of a model: inference time is FLOPs times
+a calibrated efficiency and load time follows from ``param_count``. So
+no layer holds weights or computes a forward pass.
 """
 
 from repro.nn.layers import (

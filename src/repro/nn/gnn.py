@@ -2,70 +2,35 @@
 
 The conclusion names GNN serving as future work because, unlike the
 feed-forward models of the study, scoring one node needs its *k-hop
-neighborhood* read from historical state. This module provides a real
-NumPy GCN (Kipf & Welling-style graph convolutions) whose forward pass
-actually computes, plus the static accounting (params, FLOPs as a
-function of neighborhood size) that the serving cost models consume.
-The state-read side lives in :mod:`repro.serving.state`.
+neighborhood* read from historical state. This module models a GCN
+(Kipf & Welling-style graph convolutions) through its static accounting:
+parameters, and FLOPs as a function of neighborhood size, which the
+serving cost models consume. The state-read side lives in
+:mod:`repro.serving.state`.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn.model import Model
 
 
-def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """Symmetric GCN normalization: ``D^-1/2 (A + I) D^-1/2``."""
-    adjacency = np.asarray(adjacency, dtype=np.float32)
-    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-        raise ShapeError(f"adjacency must be square, got {adjacency.shape}")
-    a_hat = adjacency + np.eye(adjacency.shape[0], dtype=np.float32)
-    degree = a_hat.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(np.maximum(degree, 1e-12))
-    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
 class GraphConvLayer:
     """One graph convolution: ``relu(A_norm @ H @ W + b)``."""
 
-    def __init__(self, in_features: int, out_features: int, final: bool = False) -> None:
+    def __init__(self, in_features: int, out_features: int) -> None:
         if in_features < 1 or out_features < 1:
             raise ShapeError("GraphConvLayer: features must be >= 1")
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self.final = final
-        self._weight: np.ndarray | None = None
-        self._bias: np.ndarray | None = None
 
     @property
     def param_count(self) -> int:
         return self.in_features * self.out_features + self.out_features
 
-    def initialize(self, rng: np.random.Generator) -> None:
-        scale = np.float32(np.sqrt(2.0 / self.in_features))
-        self._weight = rng.standard_normal(
-            (self.in_features, self.out_features), dtype=np.float32
-        ) * scale
-        self._bias = np.zeros(self.out_features, dtype=np.float32)
-
-    def forward(self, h: np.ndarray, adj_norm: np.ndarray) -> np.ndarray:
-        if self._weight is None:
-            raise ShapeError("GraphConvLayer has no weights; call initialize()")
-        if h.shape[1] != self.in_features:
-            raise ShapeError(
-                f"GraphConvLayer expects {self.in_features} features, got {h.shape[1]}"
-            )
-        out = adj_norm @ (h @ self._weight) + self._bias
-        if self.final:
-            return out
-        return np.maximum(out, 0.0)
-
 
 class GcnModel(Model):
-    """A GCN node classifier with real forward computation.
+    """A GCN node classifier.
 
     ``avg_degree`` and the layer count (= k hops) determine both the
     serving-time FLOPs and — through :mod:`repro.serving.state` — how many
@@ -93,12 +58,8 @@ class GcnModel(Model):
         self.avg_degree = float(avg_degree)
         dims = [self.feature_dim] + [self.hidden_dim] * (self.hops - 1) + [self.classes]
         self.layers = [
-            GraphConvLayer(d_in, d_out, final=(i == self.hops - 1))
-            for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))
+            GraphConvLayer(d_in, d_out) for d_in, d_out in zip(dims, dims[1:])
         ]
-        self._initialized = False
-
-    # -- Model interface ---------------------------------------------------
 
     @property
     def input_shape(self) -> tuple[int, ...]:
@@ -132,48 +93,16 @@ class GcnModel(Model):
             total += 2.0 * n * self.avg_degree * layer.out_features
         return total
 
-    def initialize(self, seed: int = 0) -> "GcnModel":
-        # crayfish: allow[global-random]: construction-time weight init, explicitly seeded by the caller; no simulation stream exists yet
-        rng = np.random.default_rng(seed)
-        for layer in self.layers:
-            layer.initialize(rng)
-        self._initialized = True
-        return self
-
-    def predict(self, x: np.ndarray, adjacency: np.ndarray | None = None) -> np.ndarray:  # type: ignore[override]
-        """Classify nodes: ``x`` is (nodes, features); ``adjacency`` the
-        (nodes, nodes) graph. Returns per-node class probabilities."""
-        if adjacency is None:
-            raise ShapeError("GcnModel.predict needs the adjacency matrix")
-        x = np.asarray(x, dtype=np.float32)
-        if x.ndim != 2 or x.shape[1] != self.feature_dim:
-            raise ShapeError(
-                f"expected (nodes, {self.feature_dim}) features, got {x.shape}"
-            )
-        if adjacency.shape != (x.shape[0], x.shape[0]):
-            raise ShapeError(
-                f"adjacency {adjacency.shape} does not match {x.shape[0]} nodes"
-            )
-        adj_norm = normalize_adjacency(adjacency)
-        h = x
-        for layer in self.layers:
-            h = layer.forward(h, adj_norm)
-        shifted = h - h.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
-
 
 def build_gcn(
-    initialize: bool = False,
-    seed: int = 0,
     feature_dim: int = 64,
     hidden_dim: int = 64,
     classes: int = 2,
     hops: int = 2,
     avg_degree: float = 8.0,
 ) -> GcnModel:
-    """Builder with the zoo's ``register_model`` signature."""
-    model = GcnModel(
+    """Builder usable with ``register_model``: every argument has a default."""
+    return GcnModel(
         feature_dim=feature_dim,
         hidden_dim=hidden_dim,
         classes=classes,
@@ -181,6 +110,3 @@ def build_gcn(
         avg_degree=avg_degree,
         name=f"gcn{hops}hop",
     )
-    if initialize:
-        model.initialize(seed)
-    return model

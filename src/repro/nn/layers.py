@@ -1,13 +1,14 @@
-"""Layers: shape algebra, parameter/FLOP accounting, NumPy forward passes.
+"""Layers: shape algebra and parameter/FLOP accounting.
 
-Shapes are per-point (no batch dimension); ``forward`` operates on arrays
-with a leading batch axis. Convolutions use NCHW layout. FLOPs follow the
-usual convention of 2 ops (multiply + add) per MAC.
+A layer is its shapes and its costs; it holds no weights and computes
+nothing. Shapes are per-point (no batch dimension). Convolutions use
+NCHW layout. FLOPs follow the usual convention of 2 ops (multiply +
+add) per MAC.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from repro.errors import ShapeError
 
@@ -20,15 +21,11 @@ def _check_positive_shape(shape: Shape, who: str) -> None:
 
 
 class Layer:
-    """Base layer: knows its shapes and costs before weights exist."""
+    """Base layer: its shapes, parameter tensors and FLOPs."""
 
     def __init__(self, input_shape: Shape) -> None:
         _check_positive_shape(tuple(input_shape), type(self).__name__)
         self.input_shape: Shape = tuple(int(d) for d in input_shape)
-        self._params: dict[str, np.ndarray] = {}
-        self._initialized = False
-
-    # -- static accounting --------------------------------------------
 
     @property
     def output_shape(self) -> Shape:
@@ -40,73 +37,12 @@ class Layer:
 
     @property
     def param_count(self) -> int:
-        return sum(int(np.prod(s)) for s in self.param_shapes().values())
+        return sum(math.prod(s) for s in self.param_shapes().values())
 
     @property
     def flops_per_point(self) -> float:
         """Floating-point operations to process one data point."""
         return 0.0
-
-    def config(self) -> dict:
-        """JSON-serializable constructor arguments (for model formats)."""
-        return {"input_shape": list(self.input_shape)}
-
-    # -- weights --------------------------------------------------------
-
-    def initialize(self, rng: np.random.Generator) -> None:
-        """Materialize weights (He-style init; these stand in for the
-        paper's pre-trained weights, whose values are irrelevant to the
-        performance study)."""
-        self._params = {
-            name: rng.standard_normal(shape, dtype=np.float32)
-            * np.float32(np.sqrt(2.0 / max(int(np.prod(shape[1:])) or 1, 1)))
-            for name, shape in self.param_shapes().items()
-        }
-        self._initialized = True
-
-    @property
-    def initialized(self) -> bool:
-        return self._initialized
-
-    def get_params(self) -> dict[str, np.ndarray]:
-        self._require_init()
-        return dict(self._params)
-
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        expected = self.param_shapes()
-        if set(params) != set(expected):
-            raise ShapeError(
-                f"{type(self).__name__}: parameter names {sorted(params)} "
-                f"!= expected {sorted(expected)}"
-            )
-        for name, array in params.items():
-            if tuple(array.shape) != tuple(expected[name]):
-                raise ShapeError(
-                    f"{type(self).__name__}.{name}: shape {array.shape} "
-                    f"!= expected {expected[name]}"
-                )
-        self._params = {k: np.asarray(v, dtype=np.float32) for k, v in params.items()}
-        self._initialized = True
-
-    def _require_init(self) -> None:
-        if not self._initialized and self.param_shapes():
-            raise ShapeError(
-                f"{type(self).__name__} has no weights; call initialize()"
-            )
-
-    # -- compute ----------------------------------------------------------
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float32)
-        if tuple(x.shape[1:]) != self.input_shape:
-            raise ShapeError(
-                f"{type(self).__name__}: input {x.shape[1:]} != "
-                f"expected {self.input_shape}"
-            )
-        return x
 
 
 class Dense(Layer):
@@ -130,14 +66,6 @@ class Dense(Layer):
     @property
     def flops_per_point(self) -> float:
         return 2.0 * self.input_shape[0] * self.units
-
-    def config(self) -> dict:
-        return {**super().config(), "units": self.units}
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        self._require_init()
-        return x @ self._params["weight"] + self._params["bias"]
 
 
 class Conv2d(Layer):
@@ -187,42 +115,6 @@ class Conv2d(Layer):
         macs = out_h * out_w * self.filters * c * self.kernel_size**2
         return 2.0 * macs
 
-    def config(self) -> dict:
-        return {
-            **super().config(),
-            "filters": self.filters,
-            "kernel_size": self.kernel_size,
-            "stride": self.stride,
-            "padding": self.padding,
-        }
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        self._require_init()
-        n = x.shape[0]
-        k, s, p = self.kernel_size, self.stride, self.padding
-        c, __, __ = self.input_shape
-        __, out_h, out_w = self._out_shape
-        if p:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        # im2col via stride tricks: (n, c, k, k, out_h, out_w)
-        strides = (
-            x.strides[0],
-            x.strides[1],
-            x.strides[2],
-            x.strides[3],
-            x.strides[2] * s,
-            x.strides[3] * s,
-        )
-        windows = np.lib.stride_tricks.as_strided(
-            x, shape=(n, c, k, k, out_h, out_w), strides=strides, writeable=False
-        )
-        cols = windows.reshape(n, c * k * k, out_h * out_w)
-        weight = self._params["weight"].reshape(self.filters, c * k * k)
-        out = np.einsum("fp,npq->nfq", weight, cols, optimize=True)
-        out += self._params["bias"][None, :, None]
-        return out.reshape(n, self.filters, out_h, out_w)
-
 
 class DepthwiseConv2d(Layer):
     """Depthwise 2-D convolution: one kernel per input channel (the
@@ -269,38 +161,6 @@ class DepthwiseConv2d(Layer):
         c, out_h, out_w = self._out_shape
         return 2.0 * c * out_h * out_w * self.kernel_size**2
 
-    def config(self) -> dict:
-        return {
-            **super().config(),
-            "kernel_size": self.kernel_size,
-            "stride": self.stride,
-            "padding": self.padding,
-        }
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        self._require_init()
-        n = x.shape[0]
-        c = self.input_shape[0]
-        k, s, p = self.kernel_size, self.stride, self.padding
-        __, out_h, out_w = self._out_shape
-        if p:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        strides = (
-            x.strides[0],
-            x.strides[1],
-            x.strides[2],
-            x.strides[3],
-            x.strides[2] * s,
-            x.strides[3] * s,
-        )
-        windows = np.lib.stride_tricks.as_strided(
-            x, shape=(n, c, k, k, out_h, out_w), strides=strides, writeable=False
-        )
-        # Per-channel kernels: contract the two kernel axes channel-wise.
-        out = np.einsum("nckhpq,ckh->ncpq", windows, self._params["weight"], optimize=True)
-        return out + self._params["bias"][None, :, None, None]
-
 
 class BatchNorm2d(Layer):
     """Inference-mode batch normalization over the channel axis."""
@@ -326,28 +186,7 @@ class BatchNorm2d(Layer):
 
     @property
     def flops_per_point(self) -> float:
-        return 2.0 * float(np.prod(self.input_shape))
-
-    def config(self) -> dict:
-        return {**super().config(), "epsilon": self.epsilon}
-
-    def initialize(self, rng: np.random.Generator) -> None:
-        c = self.input_shape[0]
-        self._params = {
-            "gamma": np.ones(c, dtype=np.float32),
-            "beta": np.zeros(c, dtype=np.float32),
-            "running_mean": rng.standard_normal(c).astype(np.float32) * 0.1,
-            "running_var": np.abs(rng.standard_normal(c)).astype(np.float32) + 0.5,
-        }
-        self._initialized = True
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        self._require_init()
-        p = self._params
-        scale = p["gamma"] / np.sqrt(p["running_var"] + self.epsilon)
-        shift = p["beta"] - p["running_mean"] * scale
-        return x * scale[None, :, None, None] + shift[None, :, None, None]
+        return 2.0 * float(math.prod(self.input_shape))
 
 
 class ReLU(Layer):
@@ -357,10 +196,7 @@ class ReLU(Layer):
 
     @property
     def flops_per_point(self) -> float:
-        return float(np.prod(self.input_shape))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(self._check_input(x), 0.0)
+        return float(math.prod(self.input_shape))
 
 
 class Softmax(Layer):
@@ -379,21 +215,11 @@ class Softmax(Layer):
     def flops_per_point(self) -> float:
         return 3.0 * self.input_shape[0]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        shifted = x - x.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=-1, keepdims=True)
-
 
 class Flatten(Layer):
     @property
     def output_shape(self) -> Shape:
-        return (int(np.prod(self.input_shape)),)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        return x.reshape(x.shape[0], -1)
+        return (math.prod(self.input_shape),)
 
 
 class MaxPool2d(Layer):
@@ -417,36 +243,7 @@ class MaxPool2d(Layer):
 
     @property
     def flops_per_point(self) -> float:
-        return float(np.prod(self._out_shape)) * self.pool_size**2
-
-    def config(self) -> dict:
-        return {
-            **super().config(),
-            "pool_size": self.pool_size,
-            "stride": self.stride,
-            "padding": self.padding,
-        }
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        n = x.shape[0]
-        c, __, __ = self.input_shape
-        k, s, p = self.pool_size, self.stride, self.padding
-        __, out_h, out_w = self._out_shape
-        if p:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=-np.inf)
-        strides = (
-            x.strides[0],
-            x.strides[1],
-            x.strides[2] * s,
-            x.strides[3] * s,
-            x.strides[2],
-            x.strides[3],
-        )
-        windows = np.lib.stride_tricks.as_strided(
-            x, shape=(n, c, out_h, out_w, k, k), strides=strides, writeable=False
-        )
-        return windows.max(axis=(4, 5))
+        return float(math.prod(self._out_shape)) * self.pool_size**2
 
 
 class GlobalAvgPool2d(Layer):
@@ -463,10 +260,7 @@ class GlobalAvgPool2d(Layer):
 
     @property
     def flops_per_point(self) -> float:
-        return float(np.prod(self.input_shape))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self._check_input(x).mean(axis=(2, 3))
+        return float(math.prod(self.input_shape))
 
 
 class Gru(Layer):
@@ -509,34 +303,6 @@ class Gru(Layer):
         elementwise = 6.0 * self.hidden
         return self.timesteps * (3.0 * per_gate + elementwise)
 
-    def config(self) -> dict:
-        return {**super().config(), "hidden": self.hidden}
-
-    @staticmethod
-    def _sigmoid(x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-x))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        self._require_init()
-        p = self._params
-        h = np.zeros((x.shape[0], self.hidden), dtype=np.float32)
-        for t in range(self.timesteps):
-            step = x[:, t, :]
-            z = self._sigmoid(
-                step @ p["update_kernel"] + h @ p["update_recurrent"] + p["update_bias"]
-            )
-            r = self._sigmoid(
-                step @ p["reset_kernel"] + h @ p["reset_recurrent"] + p["reset_bias"]
-            )
-            candidate = np.tanh(
-                step @ p["candidate_kernel"]
-                + (r * h) @ p["candidate_recurrent"]
-                + p["candidate_bias"]
-            )
-            h = (1.0 - z) * h + z * candidate
-        return h
-
 
 class Sigmoid(Layer):
     """Elementwise logistic activation (autoencoder output layers)."""
@@ -547,18 +313,7 @@ class Sigmoid(Layer):
 
     @property
     def flops_per_point(self) -> float:
-        return 4.0 * float(np.prod(self.input_shape))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        # Numerically stable split: never exponentiate a large positive
-        # argument (float32 overflows past ~88).
-        x = self._check_input(x)
-        out = np.empty_like(x)
-        positive = x >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-        exp_x = np.exp(x[~positive])
-        out[~positive] = exp_x / (1.0 + exp_x)
-        return out
+        return 4.0 * float(math.prod(self.input_shape))
 
 
 class Swish(Layer):
@@ -570,16 +325,7 @@ class Swish(Layer):
 
     @property
     def flops_per_point(self) -> float:
-        return 5.0 * float(np.prod(self.input_shape))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        gate = np.empty_like(x)
-        positive = x >= 0
-        gate[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-        exp_x = np.exp(x[~positive])
-        gate[~positive] = exp_x / (1.0 + exp_x)
-        return x * gate
+        return 5.0 * float(math.prod(self.input_shape))
 
 
 class SqueezeExcite(Layer):
@@ -611,23 +357,10 @@ class SqueezeExcite(Layer):
     @property
     def flops_per_point(self) -> float:
         c = self.input_shape[0]
-        pool = float(np.prod(self.input_shape))
+        pool = float(math.prod(self.input_shape))
         mlp = 2.0 * (c * self.squeezed) * 2
-        scale = float(np.prod(self.input_shape))
+        scale = float(math.prod(self.input_shape))
         return pool + mlp + scale
-
-    def config(self) -> dict:
-        return {**super().config(), "reduction": self.reduction}
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        self._require_init()
-        p = self._params
-        squeezed = x.mean(axis=(2, 3))  # (n, C)
-        hidden = np.maximum(squeezed @ p["reduce_weight"] + p["reduce_bias"], 0.0)
-        logits = hidden @ p["expand_weight"] + p["expand_bias"]
-        gates = 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
-        return x * gates[:, :, None, None]
 
 
 class Add(Layer):
@@ -639,15 +372,7 @@ class Add(Layer):
 
     @property
     def flops_per_point(self) -> float:
-        return float(np.prod(self.input_shape))
-
-    def forward(self, x: np.ndarray, shortcut: np.ndarray | None = None) -> np.ndarray:  # type: ignore[override]
-        x = self._check_input(x)
-        if shortcut is None:
-            raise ShapeError("Add.forward needs both inputs")
-        if shortcut.shape != x.shape:
-            raise ShapeError(f"Add: {x.shape} vs {shortcut.shape}")
-        return x + shortcut
+        return float(math.prod(self.input_shape))
 
 
 class Residual(Layer):
@@ -701,53 +426,5 @@ class Residual(Layer):
     @property
     def flops_per_point(self) -> float:
         body = sum(l.flops_per_point for l in self._sublayers())
-        add_and_relu = 2.0 * float(np.prod(self.output_shape))
+        add_and_relu = 2.0 * float(math.prod(self.output_shape))
         return body + add_and_relu
-
-    def initialize(self, rng: np.random.Generator) -> None:
-        for layer in self._sublayers():
-            layer.initialize(rng)
-        self._initialized = True
-
-    def get_params(self) -> dict[str, np.ndarray]:
-        params: dict[str, np.ndarray] = {}
-        for prefix, layers in (("main", self.main), ("shortcut", self.shortcut)):
-            for i, layer in enumerate(layers):
-                for name, array in layer.get_params().items():
-                    params[f"{prefix}.{i}.{name}"] = array
-        return params
-
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        for prefix, layers in (("main", self.main), ("shortcut", self.shortcut)):
-            for i, layer in enumerate(layers):
-                expected = layer.param_shapes()
-                sub = {
-                    name: params[f"{prefix}.{i}.{name}"] for name in expected
-                }
-                if expected:
-                    layer.set_params(sub)
-        self._initialized = True
-
-    def config(self) -> dict:
-        from repro.nn.model import layer_config, layers_from_config
-
-        __ = layers_from_config  # imported for symmetry; silences linters
-        return {
-            **super().config(),
-            "main": [layer_config(l) for l in self.main],
-            "shortcut": [layer_config(l) for l in self.shortcut],
-            "final_relu": self.final_relu,
-        }
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        out = x
-        for layer in self.main:
-            out = layer.forward(out)
-        short = x
-        for layer in self.shortcut:
-            short = layer.forward(short)
-        combined = out + short
-        if self.final_relu:
-            return np.maximum(combined, 0.0)
-        return combined

@@ -1,65 +1,15 @@
-"""Model containers and the layer-config registry used by model formats."""
+"""Model containers: a validated chain of layers and its totals."""
 
 from __future__ import annotations
 
 import typing
 
-import numpy as np
-
-from repro.errors import ModelFormatError, ShapeError
+from repro.errors import ShapeError
 from repro.nn import layers as L
-
-#: Registry of layer type-name -> class, for (de)serialization.
-LAYER_TYPES: dict[str, type[L.Layer]] = {
-    "Dense": L.Dense,
-    "Conv2d": L.Conv2d,
-    "DepthwiseConv2d": L.DepthwiseConv2d,
-    "BatchNorm2d": L.BatchNorm2d,
-    "ReLU": L.ReLU,
-    "Softmax": L.Softmax,
-    "Flatten": L.Flatten,
-    "MaxPool2d": L.MaxPool2d,
-    "Gru": L.Gru,
-    "Sigmoid": L.Sigmoid,
-    "Swish": L.Swish,
-    "SqueezeExcite": L.SqueezeExcite,
-    "GlobalAvgPool2d": L.GlobalAvgPool2d,
-    "Residual": L.Residual,
-}
-_TYPE_NAMES = {cls: name for name, cls in LAYER_TYPES.items()}
-
-
-def layer_config(layer: L.Layer) -> dict:
-    """A JSON-serializable description of ``layer`` (type + config)."""
-    try:
-        type_name = _TYPE_NAMES[type(layer)]
-    except KeyError:
-        raise ModelFormatError(
-            f"layer type {type(layer).__name__} is not registered"
-        ) from None
-    return {"type": type_name, "config": layer.config()}
-
-
-def layer_from_config(spec: dict) -> L.Layer:
-    """Rebuild one layer from its :func:`layer_config` description."""
-    try:
-        cls = LAYER_TYPES[spec["type"]]
-    except KeyError:
-        raise ModelFormatError(f"unknown layer type {spec.get('type')!r}") from None
-    config = dict(spec["config"])
-    config["input_shape"] = tuple(config["input_shape"])
-    if cls is L.Residual:
-        config["main"] = layers_from_config(config["main"])
-        config["shortcut"] = layers_from_config(config.get("shortcut") or [])
-    return cls(**config)
-
-
-def layers_from_config(specs: typing.Sequence[dict]) -> list[L.Layer]:
-    return [layer_from_config(spec) for spec in specs]
 
 
 class Model:
-    """Base model interface used by the serving layer and formats."""
+    """Base model interface: the four numbers the serving layer reads."""
 
     name: str = "model"
 
@@ -77,9 +27,6 @@ class Model:
 
     @property
     def flops_per_point(self) -> float:
-        raise NotImplementedError
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -113,63 +60,3 @@ class Sequential(Model):
     @property
     def flops_per_point(self) -> float:
         return sum(layer.flops_per_point for layer in self.layers)
-
-    @property
-    def initialized(self) -> bool:
-        return all(
-            layer.initialized or not layer.param_shapes() for layer in self.layers
-        )
-
-    def initialize(self, seed: int = 0) -> "Sequential":
-        """Materialize all weights deterministically from ``seed``."""
-        # crayfish: allow[global-random]: construction-time weight init, explicitly seeded by the caller; no simulation stream exists yet
-        rng = np.random.default_rng(seed)
-        for layer in self.layers:
-            layer.initialize(rng)
-        return self
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Run the forward pass over a batch (leading axis = batch)."""
-        out = np.asarray(x, dtype=np.float32)
-        if tuple(out.shape[1:]) != self.input_shape:
-            raise ShapeError(
-                f"model {self.name!r} expects {self.input_shape}, "
-                f"got {tuple(out.shape[1:])}"
-            )
-        for layer in self.layers:
-            out = layer.forward(out)
-        return out
-
-    # -- weights as a flat mapping (used by formats) --------------------
-
-    def get_weights(self) -> dict[str, np.ndarray]:
-        weights: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            if not layer.param_shapes():
-                continue
-            for name, array in layer.get_params().items():
-                weights[f"{i}.{name}"] = array
-        return weights
-
-    def set_weights(self, weights: dict[str, np.ndarray]) -> None:
-        for i, layer in enumerate(self.layers):
-            expected = layer.param_shapes()
-            if not expected:
-                continue
-            sub = {}
-            for name in expected:
-                key = f"{i}.{name}"
-                if key not in weights:
-                    raise ModelFormatError(f"missing weight {key!r}")
-                sub[name] = weights[key]
-            layer.set_params(sub)
-
-    def architecture(self) -> list[dict]:
-        """JSON-serializable layer list (the format files' graph section)."""
-        return [layer_config(layer) for layer in self.layers]
-
-    @classmethod
-    def from_architecture(
-        cls, specs: typing.Sequence[dict], name: str = "model"
-    ) -> "Sequential":
-        return cls(layers_from_config(specs), name=name)

@@ -9,7 +9,6 @@ from repro.nn.zoo.resnet import build_resnet50
 from repro.nn.zoo.registry import (
     ModelInfo,
     available_models,
-    get_model,
     model_info,
     register_model,
     unregister_model,
@@ -24,7 +23,6 @@ __all__ = [
     "build_resnet50",
     "ModelInfo",
     "available_models",
-    "get_model",
     "model_info",
     "register_model",
     "unregister_model",

@@ -16,7 +16,7 @@ HIDDEN = 256
 BOTTLENECK = 32
 
 
-def build_autoencoder(initialize: bool = False, seed: int = 0) -> Sequential:
+def build_autoencoder() -> Sequential:
     """Construct the autoencoder (output = reconstructed input)."""
     width = INPUT_SHAPE[0] * INPUT_SHAPE[1]
     layers = [
@@ -30,7 +30,4 @@ def build_autoencoder(initialize: bool = False, seed: int = 0) -> Sequential:
         Dense((HIDDEN,), width),
         Sigmoid((width,)),
     ]
-    model = Sequential(layers, name="autoencoder")
-    if initialize:
-        model.initialize(seed)
-    return model
+    return Sequential(layers, name="autoencoder")

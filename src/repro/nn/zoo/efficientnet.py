@@ -68,7 +68,7 @@ def _mbconv(shape, expansion, out_channels, stride, kernel) -> Layer | list[Laye
     return main
 
 
-def build_efficientnet(initialize: bool = False, seed: int = 0) -> Sequential:
+def build_efficientnet() -> Sequential:
     """Construct EfficientNet-B0."""
     layers: list[Layer] = _conv_bn_swish(INPUT_SHAPE, 32, kernel=3, stride=2, padding=1)
     shape = layers[-1].output_shape
@@ -90,7 +90,4 @@ def build_efficientnet(initialize: bool = False, seed: int = 0) -> Sequential:
     layers += _conv_bn_swish(shape, 1280, kernel=1)
     gap = GlobalAvgPool2d(layers[-1].output_shape)
     layers += [gap, Dense(gap.output_shape, CLASSES), Softmax((CLASSES,))]
-    model = Sequential(layers, name="efficientnet_b0")
-    if initialize:
-        model.initialize(seed)
-    return model
+    return Sequential(layers, name="efficientnet_b0")

@@ -15,8 +15,8 @@ HIDDEN_LAYERS = 3
 CLASSES = 10
 
 
-def build_ffnn(initialize: bool = False, seed: int = 0) -> Sequential:
-    """Construct the FFNN; ``initialize=True`` materializes weights."""
+def build_ffnn() -> Sequential:
+    """Construct the FFNN."""
     layers = [Flatten(INPUT_SHAPE)]
     width = INPUT_SHAPE[0] * INPUT_SHAPE[1]
     for __ in range(HIDDEN_LAYERS):
@@ -25,7 +25,4 @@ def build_ffnn(initialize: bool = False, seed: int = 0) -> Sequential:
         width = HIDDEN_UNITS
     layers.append(Dense((width,), CLASSES))
     layers.append(Softmax((CLASSES,)))
-    model = Sequential(layers, name="ffnn")
-    if initialize:
-        model.initialize(seed)
-    return model
+    return Sequential(layers, name="ffnn")

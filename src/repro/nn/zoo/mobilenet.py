@@ -60,7 +60,7 @@ def _separable(shape, out_channels, stride) -> list[Layer]:
     return layers
 
 
-def build_mobilenet(initialize: bool = False, seed: int = 0) -> Sequential:
+def build_mobilenet() -> Sequential:
     """Construct MobileNetV1 (width multiplier 1.0, 224x224 input)."""
     layers: list[Layer] = _conv_bn_relu(
         INPUT_SHAPE, 32, kernel=3, stride=2, padding=1
@@ -72,7 +72,4 @@ def build_mobilenet(initialize: bool = False, seed: int = 0) -> Sequential:
         shape = block[-1].output_shape
     gap = GlobalAvgPool2d(shape)
     layers += [gap, Dense(gap.output_shape, CLASSES), Softmax((CLASSES,))]
-    model = Sequential(layers, name="mobilenet")
-    if initialize:
-        model.initialize(seed)
-    return model
+    return Sequential(layers, name="mobilenet")

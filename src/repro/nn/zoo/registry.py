@@ -1,4 +1,4 @@
-"""Model registry: static characteristics without materializing weights.
+"""Model registry: the static characteristics of every zoo model.
 
 Serving cost models need FLOPs, parameter counts, and tensor sizes; those
 are pure shape algebra, so :class:`ModelInfo` computes them from the
@@ -13,7 +13,7 @@ import math
 import typing
 
 from repro.errors import ConfigError
-from repro.nn.model import Sequential
+from repro.nn.model import Model
 from repro.nn.zoo.autoencoder import build_autoencoder
 from repro.nn.zoo.efficientnet import build_efficientnet
 from repro.nn.zoo.ffnn import build_ffnn
@@ -21,7 +21,7 @@ from repro.nn.zoo.mobilenet import build_mobilenet
 from repro.nn.zoo.resnet import build_resnet50
 from repro.nn.zoo.rnn import build_gru
 
-_BUILDERS: dict[str, typing.Callable[..., Sequential]] = {
+_BUILDERS: dict[str, typing.Callable[[], Model]] = {
     "autoencoder": build_autoencoder,
     "efficientnet_b0": build_efficientnet,
     "ffnn": build_ffnn,
@@ -36,12 +36,11 @@ def available_models() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def register_model(name: str, builder: typing.Callable[..., Sequential]) -> None:
+def register_model(name: str, builder: typing.Callable[[], Model]) -> None:
     """Register a user model (§3.2: Crayfish is model-extensible).
 
-    ``builder`` must accept ``initialize: bool`` and ``seed: int`` keyword
-    arguments and return a :class:`Sequential`. Built-in names cannot be
-    overridden.
+    ``builder`` takes no arguments and returns a :class:`Model`. Built-in
+    names cannot be overridden.
     """
     if name in _BUILDERS:
         raise ConfigError(f"model {name!r} is already registered")
@@ -85,11 +84,11 @@ class ModelInfo:
 
 @functools.lru_cache(maxsize=None)
 def model_info(name: str) -> ModelInfo:
-    """Characteristics of the named model (architecture only, no weights)."""
+    """Characteristics of the named model, from its architecture."""
     builder = _BUILDERS.get(name)
     if builder is None:
         raise ConfigError(f"unknown model {name!r}; have {sorted(_BUILDERS)}")
-    model = builder(initialize=False)
+    model = builder()
     return ModelInfo(
         name=name,
         input_shape=model.input_shape,
@@ -98,10 +97,3 @@ def model_info(name: str) -> ModelInfo:
         flops_per_point=model.flops_per_point,
     )
 
-
-def get_model(name: str, initialize: bool = True, seed: int = 0) -> Sequential:
-    """Build (and by default materialize) the named zoo model."""
-    builder = _BUILDERS.get(name)
-    if builder is None:
-        raise ConfigError(f"unknown model {name!r}; have {sorted(_BUILDERS)}")
-    return builder(initialize=initialize, seed=seed)

@@ -57,9 +57,8 @@ def _bottleneck(shape, width, stride) -> Residual:
     return Residual(shape, main, shortcut)
 
 
-def build_resnet50(initialize: bool = False, seed: int = 0) -> Sequential:
-    """Construct ResNet-50; ``initialize=True`` allocates ~100 MB of
-    weights, so cost models should leave it False."""
+def build_resnet50() -> Sequential:
+    """Construct ResNet-50."""
     layers: list[Layer] = []
     layers += _conv_bn(INPUT_SHAPE, 64, kernel=7, stride=2, padding=3)
     pool = MaxPool2d(layers[-1].output_shape, pool_size=3, stride=2, padding=1)
@@ -77,7 +76,4 @@ def build_resnet50(initialize: bool = False, seed: int = 0) -> Sequential:
         Dense(gap.output_shape, CLASSES),
         Softmax((CLASSES,)),
     ]
-    model = Sequential(layers, name="resnet50")
-    if initialize:
-        model.initialize(seed)
-    return model
+    return Sequential(layers, name="resnet50")

@@ -18,7 +18,7 @@ HIDDEN = 128
 CLASSES = 8
 
 
-def build_gru(initialize: bool = False, seed: int = 0) -> Sequential:
+def build_gru() -> Sequential:
     """Construct the GRU classifier (input shape ``(32, 64)``)."""
     gru = Gru((TIMESTEPS, FEATURES), hidden=HIDDEN)
     layers = [
@@ -28,7 +28,4 @@ def build_gru(initialize: bool = False, seed: int = 0) -> Sequential:
         Dense((HIDDEN,), CLASSES),
         Softmax((CLASSES,)),
     ]
-    model = Sequential(layers, name="gru")
-    if initialize:
-        model.initialize(seed)
-    return model
+    return Sequential(layers, name="gru")

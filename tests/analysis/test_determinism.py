@@ -4,6 +4,8 @@ linter's clean-tree gate."""
 import dataclasses
 import pathlib
 
+import pytest
+
 from repro.analysis.core import lint_paths
 from repro.analysis.order import (
     ARTIFACTS,
@@ -54,21 +56,25 @@ def test_fingerprints_cover_every_surface():
     assert all(isinstance(v, bytes) and v for v in artifacts.values())
 
 
-def test_source_tree_lints_clean():
+@pytest.fixture(scope="module")
+def source_tree_reports():
+    """One lint of `src/`, read by both source-tree checks."""
+    return lint_paths([str(REPO / "src")])
+
+
+def test_source_tree_lints_clean(source_tree_reports):
     """The CI gate, enforced from inside tier-1 as well: `src/` must
     carry zero unsuppressed findings."""
-    reports = lint_paths([str(REPO / "src")])
     dirty = [
         f"{finding.location()}: {finding.rule}: {finding.message}"
-        for report in reports
+        for report in source_tree_reports
         for finding in report.findings
     ]
     assert dirty == [], "\n".join(dirty)
 
 
-def test_source_tree_suppressions_all_have_reasons():
-    reports = lint_paths([str(REPO / "src")])
-    for report in reports:
+def test_source_tree_suppressions_all_have_reasons(source_tree_reports):
+    for report in source_tree_reports:
         for item in report.suppressed:
             assert item.pragma.reason, (
                 f"{report.path}:{item.pragma.line} pragma lacks a reason"

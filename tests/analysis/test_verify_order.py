@@ -75,18 +75,17 @@ def test_known_load_hazard_is_diagnosed():
     tracker's rerun names the request site. Fixing it moves exported
     bits, so it needs its own change that re-blesses the goldens.
 
-    A kernel change that alters the tie pools (fewer scheduled events)
-    changes which permutation seeds expose the hazard. With processes
-    starting in place, seeds 1-3 moved ``results.json`` and 4-6 did not;
-    since a broker stay is one event (``Resource.serve``, no grant
-    event), seeds 2, 6 and 8-10 move it and 1, 3-5 and 7 do not.
-    Re-pin to a seed that moves it rather than drop the assertion."""
+    Which permutation seeds expose the hazard depends on the tie pools,
+    so a kernel change that adds or removes a same-time event anywhere
+    before it re-draws them (seeds 2, 6 and 8-10 of 1-10 move
+    ``results.json`` today). The check asks only that some seed of ten
+    moves it, so such a change needs no re-pin."""
     config = ExperimentConfig(
         sps="ray", serving="tf_serving", model="ffnn", mp=2, ir=500.0, duration=0.5
     )
-    verdict = verify_engine_order(config, permutations=2)
+    verdict = verify_engine_order(config, permutations=10)
     assert verdict.reproducible
-    assert "results.json" in verdict.permutations[2].mismatched
+    assert any("results.json" in perm.mismatched for perm in verdict.permutations[1:])
     assert verdict.tie_accesses
     sites = {
         str(site.path).replace("\\", "/")

@@ -1,10 +1,8 @@
-"""Unit tests for dataset replay and results persistence."""
+"""Unit tests for results persistence."""
 
-import numpy as np
 import pytest
 
 from repro.config import ExperimentConfig
-from repro.core.dataset import Dataset
 from repro.core.results_io import (
     load_results,
     result_to_dict,
@@ -12,61 +10,6 @@ from repro.core.results_io import (
     save_results_csv,
 )
 from repro.core.runner import run_experiment
-from repro.errors import ConfigError
-
-
-def test_synthetic_dataset_shapes():
-    dataset = Dataset.synthetic(points=100, point_shape=(28, 28), seed=1)
-    assert len(dataset) == 100
-    assert dataset.point_shape == (28, 28)
-    assert dataset.labels is not None
-    assert dataset.data.dtype == np.float32
-
-
-def test_synthetic_is_seeded():
-    a = Dataset.synthetic(10, (4,), seed=3)
-    b = Dataset.synthetic(10, (4,), seed=3)
-    np.testing.assert_array_equal(a.data, b.data)
-
-
-def test_dataset_validation():
-    with pytest.raises(ConfigError):
-        Dataset(np.zeros(5))  # 1-D: no point shape
-    with pytest.raises(ConfigError):
-        Dataset(np.zeros((5, 2)), labels=np.zeros(3))
-    with pytest.raises(ConfigError):
-        Dataset.synthetic(points=0, point_shape=(4,))
-
-
-def test_dataset_save_load_round_trip(tmp_path):
-    dataset = Dataset.synthetic(20, (8,), seed=0)
-    path = str(tmp_path / "data.npz")
-    dataset.save(path)
-    restored = Dataset.load(path)
-    np.testing.assert_array_equal(restored.data, dataset.data)
-    np.testing.assert_array_equal(restored.labels, dataset.labels)
-
-
-def test_dataset_load_rejects_wrong_archive(tmp_path):
-    path = str(tmp_path / "bad.npz")
-    np.savez(path, other=np.zeros(3))
-    with pytest.raises(ConfigError):
-        Dataset.load(path)
-
-
-def test_batches_cycle_through_data():
-    dataset = Dataset(np.arange(12, dtype=np.float32).reshape(6, 2))
-    batches = dataset.take_batches(count=4, bsz=4)
-    assert all(b.shape == (4, 2) for b in batches)
-    # 4 batches x 4 points = 16 reads over 6 points: wraps around.
-    flat = np.concatenate(batches)[:, 0]
-    assert flat[0] == flat[12]  # cycled back to the start
-
-
-def test_batches_validation():
-    dataset = Dataset.synthetic(5, (2,))
-    with pytest.raises(ConfigError):
-        next(dataset.batches(0))
 
 
 def small_result():

@@ -47,7 +47,6 @@ def test_batch_factory_ids_and_shape():
     b = factory.make(created_at=2.0)
     assert (a.batch_id, b.batch_id) == (0, 1)
     assert a.points == 4
-    assert a.values_per_point == 784
     assert a.input_values == 4 * 784
     with pytest.raises(ConfigError):
         BatchFactory(points=0, point_shape=(4,))

@@ -1,11 +1,10 @@
 """Unit tests for model containers and the zoo (Table 2 characteristics)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ShapeError
 from repro.nn import Dense, ReLU, Sequential
-from repro.nn.zoo import build_ffnn, build_resnet50, get_model, model_info
+from repro.nn.zoo import build_resnet50, model_info
 
 
 def test_sequential_validates_shape_chain():
@@ -26,40 +25,12 @@ def test_sequential_accounting():
     assert model.flops_per_point == 2 * 4 * 8 + 8 + 2 * 8 * 2
 
 
-def test_sequential_initialize_deterministic():
-    a = Sequential([Dense((4,), 2)]).initialize(seed=7)
-    b = Sequential([Dense((4,), 2)]).initialize(seed=7)
-    np.testing.assert_array_equal(
-        a.get_weights()["0.weight"], b.get_weights()["0.weight"]
-    )
-
-
-def test_sequential_predict_requires_init():
-    model = Sequential([Dense((4,), 2)])
-    assert not model.initialized
-    with pytest.raises(ShapeError):
-        model.predict(np.zeros((1, 4)))
-
-
-def test_sequential_predict_checks_input_shape():
-    model = Sequential([Dense((4,), 2)]).initialize()
-    with pytest.raises(ShapeError):
-        model.predict(np.zeros((1, 5)))
-
-
 def test_ffnn_matches_paper_characteristics():
     """Table 2: 28x28 input, 10x1 output, ~28K parameters."""
     info = model_info("ffnn")
     assert info.input_shape == (28, 28)
     assert info.output_shape == (10,)
     assert 27_000 <= info.param_count <= 29_000
-
-
-def test_ffnn_predicts_distributions():
-    model = build_ffnn(initialize=True, seed=0)
-    out = model.predict(np.random.default_rng(0).random((6, 28, 28)))
-    assert out.shape == (6, 10)
-    np.testing.assert_allclose(out.sum(axis=1), np.ones(6), rtol=1e-5)
 
 
 def test_resnet50_matches_paper_characteristics():
@@ -74,8 +45,7 @@ def test_resnet50_matches_paper_characteristics():
 
 
 def test_resnet50_architecture_without_weights_is_cheap():
-    model = build_resnet50(initialize=False)
-    assert not model.initialized
+    model = build_resnet50()
     assert model.param_count > 20_000_000  # counting needs no allocation
 
 
@@ -83,8 +53,6 @@ def test_model_info_cached_and_validated():
     assert model_info("ffnn") is model_info("ffnn")
     with pytest.raises(ConfigError):
         model_info("alexnet")
-    with pytest.raises(ConfigError):
-        get_model("alexnet")
 
 
 def test_model_info_value_counts():

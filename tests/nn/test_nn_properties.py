@@ -1,87 +1,39 @@
 """Property-based tests for NN invariants."""
 
-import numpy as np
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from repro.nn import Dense, Flatten, ReLU, Sequential, Softmax
-from repro.nn.formats import FORMATS
+from repro.nn import Dense, Flatten, ReLU, Sequential
 
 
 @given(
-    x=hnp.arrays(
-        dtype=np.float32,
-        shape=st.tuples(
-            st.integers(min_value=1, max_value=8),
-            st.integers(min_value=1, max_value=20),
-        ),
-        elements=st.floats(min_value=-1e4, max_value=1e4, width=32),
-    )
-)
-def test_softmax_is_a_distribution(x):
-    softmax = Softmax((x.shape[1],))
-    out = softmax.forward(x)
-    assert (out >= 0).all()
-    np.testing.assert_allclose(out.sum(axis=1), np.ones(x.shape[0]), rtol=1e-4)
-
-
-@given(
-    x=hnp.arrays(
-        dtype=np.float32,
-        shape=st.tuples(
-            st.integers(min_value=1, max_value=4),
-            st.integers(min_value=1, max_value=10),
-        ),
-        elements=st.floats(min_value=-100, max_value=100, width=32),
-    )
-)
-def test_relu_idempotent_and_nonnegative(x):
-    relu = ReLU((x.shape[1],))
-    once = relu.forward(x)
-    assert (once >= 0).all()
-    np.testing.assert_array_equal(relu.forward(once), once)
-
-
-@given(
-    batch=st.integers(min_value=1, max_value=4),
     dims=st.tuples(
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=1, max_value=4),
     ),
 )
-def test_flatten_preserves_values(batch, dims):
+def test_flatten_preserves_values(dims):
     flat = Flatten(dims)
-    x = np.random.default_rng(0).random((batch, *dims)).astype(np.float32)
-    out = flat.forward(x)
-    np.testing.assert_array_equal(out.reshape(x.shape), x)
+    assert flat.output_shape == (math.prod(dims),)
+    assert flat.param_count == 0
 
 
 @given(
     in_dim=st.integers(min_value=1, max_value=16),
     hidden=st.integers(min_value=1, max_value=16),
     out_dim=st.integers(min_value=1, max_value=16),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 @settings(max_examples=25, deadline=None)
-def test_param_count_matches_materialized_weights(in_dim, hidden, out_dim, seed):
+def test_param_count_matches_materialized_weights(in_dim, hidden, out_dim):
     model = Sequential(
         [Dense((in_dim,), hidden), ReLU((hidden,)), Dense((hidden,), out_dim)]
-    ).initialize(seed)
-    total = sum(w.size for w in model.get_weights().values())
-    assert total == model.param_count
-
-
-@given(
-    in_dim=st.integers(min_value=1, max_value=8),
-    out_dim=st.integers(min_value=1, max_value=8),
-    seed=st.integers(min_value=0, max_value=1000),
-    fmt=st.sampled_from(["onnx", "torch", "h5"]),
-)
-@settings(max_examples=20, deadline=None)
-def test_format_round_trip_property(in_dim, out_dim, seed, fmt):
-    model = Sequential([Dense((in_dim,), out_dim)], name="m").initialize(seed)
-    restored = FORMATS[fmt].loads(FORMATS[fmt].dumps(model))
-    for name, array in model.get_weights().items():
-        np.testing.assert_array_equal(restored.get_weights()[name], array)
+    )
+    # Two weight matrices and two bias vectors: the tensors a trained
+    # artifact of this architecture would hold.
+    expected = in_dim * hidden + hidden + hidden * out_dim + out_dim
+    assert model.param_count == expected
+    shapes = [s for layer in model.layers for s in layer.param_shapes().values()]
+    assert sum(math.prod(s) for s in shapes) == expected

@@ -454,16 +454,6 @@ def test_lint_command_missing_path(capsys):
     assert main(["lint", "no/such/dir"]) == 2
 
 
-def test_lint_command_select_filters(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nt = time.time()\nh = hash('x')\n")
-    code = main(["lint", str(bad), "--select", "hash-randomization"])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "hash-randomization" in out
-    assert "wall-clock" not in out
-
-
 def test_lint_command_select_clean_subset_exit_zero(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nt = time.time()\n")

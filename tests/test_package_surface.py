@@ -14,7 +14,6 @@ PUBLIC_MODULES = [
     "repro.broker",
     "repro.nn",
     "repro.nn.zoo",
-    "repro.nn.formats",
     "repro.nn.gnn",
     "repro.serving",
     "repro.serving.state",
@@ -45,7 +44,6 @@ PUBLIC_MODULES = [
     "repro.store.record",
     "repro.core.scenarios",
     "repro.core.analyzer",
-    "repro.core.dataset",
     "repro.core.results_io",
     "repro.core.validation",
     "repro.core.probe",
@@ -70,7 +68,7 @@ def test_module_imports_cleanly(module_name):
 @pytest.mark.parametrize(
     "module_name",
     ["repro", "repro.simul", "repro.netsim", "repro.broker", "repro.nn",
-     "repro.nn.zoo", "repro.nn.formats", "repro.serving", "repro.sps",
+     "repro.nn.zoo", "repro.serving", "repro.sps",
      "repro.core", "repro.store"],
 )
 def test_all_exports_resolve(module_name):
