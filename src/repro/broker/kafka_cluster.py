@@ -32,15 +32,15 @@ class _SpanNames:
     """The broker span names of one topic, built once when it is
     created, so a traced append formats no string."""
 
-    __slots__ = ("send", "append_wait", "append", "unavailable", "dwell", "fetch")
+    __slots__ = ("send", "granted", "appended", "unavailable", "fetched")
 
     def __init__(self, topic: str) -> None:
-        self.send = f"broker.send:{topic}"
-        self.append_wait = f"broker.append_wait:{topic}"
-        self.append = f"broker.append:{topic}"
-        self.unavailable = f"broker.unavailable:{topic}"
-        self.dwell = f"broker.dwell:{topic}"
-        self.fetch = f"broker.fetch:{topic}"
+        send = f"broker.send:{topic}"
+        self.send = (send,)
+        self.granted = (f"broker.append_wait:{topic}", f"broker.append:{topic}")
+        self.appended = (send, *self.granted)
+        self.unavailable = (f"broker.unavailable:{topic}",)
+        self.fetched = (f"broker.dwell:{topic}", f"broker.fetch:{topic}")
 
 
 class _Append:
@@ -48,13 +48,16 @@ class _Append:
     callbacks: outage gate -> send transfer -> broker append service
     (:meth:`~repro.simul.Resource.serve`) -> log append -> ``then``.
 
-    Spans are written only when tracing is on, each once it closes:
-    ``unavailable`` per gate wait, then ``send``, ``append_wait`` (at
-    the grant, from the traced hold) and ``append``.
+    A traced record's spans are written in few visits: each
+    ``unavailable`` gate wait once it ends, then, from the traced hold at
+    the grant, the ``append_wait`` and the ``append`` (ahead of the
+    clock), with the ``send`` when a free broker grants as it ends.
+    Behind a busy broker the ``send`` is written alone, at its end.
     """
 
     __slots__ = (
-        "cluster", "route", "timestamp", "value", "nbytes", "then", "tracer", "since"
+        "cluster", "route", "timestamp", "value", "nbytes", "then", "trace",
+        "since", "sent",
     )
 
     def __init__(
@@ -72,19 +75,24 @@ class _Append:
         self.value = value
         self.nbytes = nbytes
         self.then = then
-        self.tracer = cluster.tracer if cluster.tracer.enabled else None
-        #: When the current stage began (trace spans only).
+        self.trace = getattr(value, "trace", None)
+        #: When the current stage began, and when the send ended while
+        #: its row is unwritten (traced records only).
         self.since = 0.0
+        self.sent: float | None = None
 
     def admit(self, gate: Event | None = None) -> None:
         """Start the send, or park on the partition's outage gate: a
         partition with no leader accepts no write until the outage ends
         (librdkafka-style internal retries, collapsed into one wait)."""
         env = self.cluster.env
-        if gate is not None and self.tracer is not None:
-            self.tracer.record(self.value, self.route[3].unavailable, start=self.since)
+        if self.trace is not None:
+            if gate is not None:
+                self.cluster.tracer.stages(
+                    self.trace, self.since, self.route[3].unavailable, (env.now,)
+                )
+            self.since = env.now
         gate = self.cluster._outages.get(self.route[4])
-        self.since = env.now
         if gate is not None:
             gate.callbacks.append(self.admit)
             return
@@ -93,33 +101,42 @@ class _Append:
 
     def _sent(self, event: Event) -> None:
         broker = self.route[1]
-        if self.tracer is None:
+        if self.trace is None:
             appended = broker.serve(self._service())
         else:
-            self.tracer.record(
-                self.value, self.route[3].send, start=self.since, **self.route[5]
-            )
-            self.since = event.env.now
+            self.sent = event.env.now
             appended = broker.serve(self._granted)
+            if self.sent is not None:
+                # Queued behind a busy broker: the send row closes now.
+                self._write(self.route[3].send, (self.sent,))
+                self.since, self.sent = self.sent, None
         appended.callbacks.append(self._appended)
 
     def _service(self) -> float:
         return cal.BROKER_APPEND_OVERHEAD + self.nbytes / cal.BROKER_IO_BANDWIDTH
 
     def _granted(self, now: float) -> float:
-        """The traced hold: the wait for the broker closes at the grant."""
-        self.tracer.record(
-            self.value, self.route[3].append_wait, start=self.since, end=now,
-            **self.route[5],
+        """The traced hold: the wait for the broker ends at the grant, and
+        the append is written ahead to its end (after the send, if a free
+        broker granted as the send ended)."""
+        hold = self._service()
+        if self.sent is None:
+            self._write(self.route[3].granted, (now, now + hold))
+        else:
+            self._write(self.route[3].appended, (self.sent, now, now + hold))
+            self.sent = None
+        return hold
+
+    def _write(self, names: tuple[str, ...], ends: tuple[float, ...]) -> None:
+        """One visit of the record's broker spans, from ``since``."""
+        attrs = self.route[5]
+        self.cluster.tracer.stages(
+            self.trace, self.since, names, ends,
+            None if attrs is None else dict.fromkeys(range(len(names)), attrs),
         )
-        self.since = now
-        return self._service()
 
     def _appended(self, event: Event) -> None:
-        log, __, __, names, __, attrs = self.route
-        if self.tracer is not None:
-            self.tracer.record(self.value, names.append, start=self.since, **attrs)
-        self.then(log.append(self.timestamp, self.value, self.nbytes))
+        self.then(self.route[0].append(self.timestamp, self.value, self.nbytes))
 
 
 class BrokerCluster:
@@ -227,11 +244,11 @@ class BrokerCluster:
             return self.link
         return self.placement.link_to_partition(client_node, partition)
 
-    def _node_attrs(self, partition: int) -> dict:
-        """Span attribution for the broker owning ``partition`` (empty —
-        and allocation-free for the null tracer — when unplaced)."""
+    def _node_attrs(self, partition: int) -> dict | None:
+        """Span attribution for the broker owning ``partition`` (None
+        when unplaced, or untraced)."""
         if self.placement is None or not self.tracer.enabled:
-            return {}
+            return None
         return {"node": self.placement.node_of_partition(partition)}
 
     def _route(self, topic: str, partition: int, client_node: str | None) -> tuple:
@@ -370,15 +387,12 @@ class BrokerCluster:
         """
         if not self.tracer.enabled:
             return
-        names = self._span_names[topic]
+        names = self._span_names[topic].fetched
+        ends = (fetch_start, self.env.now)
         for record in records:
-            ctx = self.tracer.context_of(record.value)
-            if ctx is None:
-                continue
-            self.tracer.record(
-                ctx, names.dwell, start=record.log_append_time, end=fetch_start
-            )
-            self.tracer.record(ctx, names.fetch, start=fetch_start)
+            trace = getattr(record.value, "trace", None)
+            if trace is not None:
+                self.tracer.stages(trace, record.log_append_time, names, ends)
 
     def wait_for_data(self, topic: str, partition: int, offset: int):
         """Event firing once the partition has records past ``offset``."""

@@ -24,6 +24,7 @@ from repro.errors import ConfigError
 from repro.serving.base import ServingTool
 from repro.serving.external.server import ExternalServingService
 from repro.simul import Environment
+from repro.tracing.spans import OPEN, chained_stages
 
 #: Per-request forwarding cost of the simulated L4 balancer (connection
 #: tracking + NAT rewrite; no payload inspection).
@@ -145,21 +146,30 @@ class LoadBalancedFleet(ServingTool):
         )
         # Client → balancer transfer (client CPU is charged inside the
         # replica call, exactly once).
-        span = self.tracer.begin(ctx, "lb.ingress", node=self.lb_node)
-        yield self.env.timeout(ingress.request_transfer + LB_FORWARD_COST)
-        self.tracer.end(span)
-        index = self._pick_replica()
-        span = self.tracer.begin(
-            ctx, "lb.forward", node=self.replica_nodes[index], replica=index
+        trace = getattr(ctx, "trace", None)
+        balancer = None if trace is None else {"node": self.lb_node}
+        yield from chained_stages(
+            self.env, self.tracer, trace, "lb.ingress",
+            ingress.request_transfer + LB_FORWARD_COST,
+            closed=True, attrs=balancer,
         )
+        index = self._pick_replica()
+        span = None
+        if trace is not None:
+            attrs = {0: {"node": self.replica_nodes[index], "replica": index}}
+            span = self.tracer.stages(
+                trace, self.env.now, ("lb.forward",), (OPEN,), attrs
+            )
         result = yield from self._replicas[index].score(
             bsz, vectorized=vectorized, ctx=ctx
         )
-        self.tracer.end(span)
+        if span is not None:
+            self.tracer.end(span)
         # Balancer → client response transfer.
-        span = self.tracer.begin(ctx, "lb.egress", node=self.lb_node)
-        yield self.env.timeout(ingress.response_transfer)
-        self.tracer.end(span)
+        yield from chained_stages(
+            self.env, self.tracer, trace, "lb.egress", ingress.response_transfer,
+            closed=True, attrs=balancer,
+        )
         self.requests_served += 1
         return type(result)(
             points=result.points,

@@ -140,10 +140,11 @@ class BatchFactory:
 
     def make(self, created_at: float) -> CrayfishDataBatch:
         batch_id = next(self._ids)
+        tracer = self.tracer
         return CrayfishDataBatch(
             batch_id=batch_id,
             created_at=created_at,
             points=self.points,
             point_shape=self.point_shape,
-            trace=self.tracer.make_context(batch_id, created_at),
+            trace=tracer.make_context(batch_id, created_at) if tracer.enabled else None,
         )

@@ -25,6 +25,10 @@ from repro.sps.gateways import DirectInput
 from repro.tracing.spans import NO_TRACE
 
 
+#: The producer visit of a paced batch.
+_GENERATE_SERIALIZE = ("producer.generate", "producer.serialize")
+
+
 class InputProducerBase:
     """Shared plumbing: encode + deliver one batch."""
 
@@ -61,27 +65,42 @@ class InputProducerBase:
     def _generation_cost(self, batch: CrayfishDataBatch) -> float:
         return batch.input_values * cal.GENERATOR_PER_VALUE
 
-    def _deliver(self, batch: CrayfishDataBatch) -> None:
+    def _deliver(
+        self, batch: CrayfishDataBatch, generated_at: float | None = None
+    ) -> None:
         """Encode on the producer VM, then write to the topic. Kernel
         callbacks step the delivery, so it starts no process; the
-        partition-outage gate is read when the encoding ends."""
+        partition-outage gate is read when the encoding ends.
+
+        A traced batch's producer visit is written here, once: the
+        generation that ran since ``generated_at`` (when given), then
+        the serialization, ahead of the clock."""
+        trace = batch.trace
         if self.direct is not None:
+            if trace is not None and generated_at is not None:
+                self.tracer.stages(
+                    trace, generated_at, ("producer.generate",), (self.env.now,)
+                )
             self.direct.push(batch)
             self.batches_produced += 1
             return
         payload = json_payload(batch.input_values)
-        span = None
-        if self.tracer.enabled:
-            span = self.tracer.begin(batch, "producer.serialize")
+        if trace is not None:
+            now = self.env.now
+            serialized = now + payload.encode_cost
+            if generated_at is None:
+                self.tracer.stages(trace, now, ("producer.serialize",), (serialized,))
+            else:
+                self.tracer.stages(
+                    trace, generated_at, _GENERATE_SERIALIZE, (now, serialized)
+                )
         encoded = self.env.service_timeout(
-            payload.encode_cost, value=(batch, payload.nbytes, span)
+            payload.encode_cost, value=(batch, payload.nbytes)
         )
         encoded.callbacks.append(self._encoded)
 
     def _encoded(self, event: Event) -> None:
-        batch, nbytes, span = event.value
-        if span is not None:
-            self.tracer.end(span)
+        batch, nbytes = event.value
         self._producer.send(
             self.topic,
             value=batch,
@@ -107,10 +126,8 @@ class PacedProducer(InputProducerBase):
             now = self.env.now
             rate = self.schedule.rate_at(now)
             batch = self.factory.make(created_at=now)
-            span = self.tracer.begin(batch, "producer.generate")
             yield self.env.service_timeout(self._generation_cost(batch))
-            self.tracer.end(span)
-            self._deliver(batch)
+            self._deliver(batch, generated_at=now)
             interval = 1.0 / rate
             elapsed = self.env.now - now
             if interval > elapsed:

@@ -19,6 +19,7 @@ import typing
 from repro.errors import TransientError
 from repro.faults.plan import ResiliencePolicy
 from repro.simul import Environment, Event
+from repro.tracing.spans import OPEN, chained_stages
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simul import RandomStreams
@@ -210,11 +211,11 @@ class ResilientScorer:
                 if attempt < self.policy.retries:
                     attempt += 1
                     self.retries += 1
-                    span = self.tracer.begin(
-                        ctx, "resilience.backoff", attempt=attempt
+                    yield from chained_stages(
+                        self.env, self.tracer, ctx,
+                        "resilience.backoff", self._backoff_delay(attempt),
+                        closed=True, attrs={"attempt": attempt},
                     )
-                    yield self.env.timeout(self._backoff_delay(attempt))
-                    self.tracer.end(span)
                     continue
                 result = yield from self._degrade(
                     bsz, vectorized, ctx, reason=str(error)
@@ -246,6 +247,13 @@ class ResilientScorer:
             f"client timeout after {self.policy.timeout}s"
         )
 
+    def _open(self, ctx: typing.Any, name: str) -> int | None:
+        """Begin a span on a traced record's trace; None when untraced."""
+        trace = getattr(ctx, "trace", None)
+        if trace is None:
+            return None
+        return self.tracer.stages(trace, self.env.now, (name,), (OPEN,))
+
     def _backoff_delay(self, attempt: int) -> float:
         delay = min(
             self.policy.backoff_max,
@@ -265,11 +273,12 @@ class ResilientScorer:
         if mode == "fallback" and self.fallback is not None:
             self.fallbacks += 1
             yield from self._ensure_fallback_loaded(ctx)
-            span = self.tracer.begin(ctx, "resilience.fallback")
+            span = self._open(ctx, "resilience.fallback")
             result = yield from self.fallback.score(
                 bsz, vectorized=vectorized, ctx=ctx
             )
-            self.tracer.end(span)
+            if span is not None:
+                self.tracer.end(span)
             return result
         self.shed += 1
         return None
@@ -279,9 +288,10 @@ class ResilientScorer:
         degraders wait on the same load instead of double-charging it."""
         if self._fallback_ready is None:
             self._fallback_ready = Event(self.env)
-            span = self.tracer.begin(ctx, "resilience.fallback_load")
+            span = self._open(ctx, "resilience.fallback_load")
             yield from self.fallback.load()
-            self.tracer.end(span)
+            if span is not None:
+                self.tracer.end(span)
             self._fallback_ready.succeed()
         elif not self._fallback_ready.processed:
             yield self._fallback_ready

@@ -426,5 +426,6 @@ class Residual(Layer):
     @property
     def flops_per_point(self) -> float:
         body = sum(l.flops_per_point for l in self._sublayers())
-        add_and_relu = 2.0 * float(math.prod(self.output_shape))
-        return body + add_and_relu
+        # One add per output value, and one more for the ReLU if any.
+        per_value = 2.0 if self.final_relu else 1.0
+        return body + per_value * float(math.prod(self.output_shape))

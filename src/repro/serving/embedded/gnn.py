@@ -39,9 +39,10 @@ class GnnEmbeddedTool(EmbeddedLibrary):
         start = self.env.now
         # k-hop neighborhood reads happen before the engine slot is taken:
         # state I/O and inference of different requests overlap.
-        span = self.tracer.begin(ctx, "serving.state_read")
         yield from self.store.read_many(bsz * self.gcn.neighborhood_size)
-        self.tracer.end(span)
+        trace = getattr(ctx, "trace", None)
+        if trace is not None:
+            self.tracer.stages(trace, start, ("serving.state_read",), (self.env.now,))
         result = yield from super().score(bsz, vectorized=vectorized, ctx=ctx)
         # The call's service time counts the state read.
         return dataclasses.replace(result, service_time=self.env.now - start)

@@ -15,7 +15,7 @@ import typing
 
 from repro.serving.base import ScoringResult, ServingTool
 from repro.serving.costs import ServingCostModel, noise_key
-from repro.simul import Environment, Resource
+from repro.simul import Environment, Interrupt, Resource
 
 
 class EmbeddedLibrary(ServingTool):
@@ -47,17 +47,29 @@ class EmbeddedLibrary(ServingTool):
         self._require_loaded()
         start = self.env.now
         key = noise_key(ctx)
-        tracer = self.tracer if self.tracer.enabled else None
+        trace = getattr(ctx, "trace", None)
+        inferred = None
 
         def inference_time(granted: float) -> float:
             # Drawn at the grant: the slow-modulation bucket reads it.
-            if tracer is not None:
-                tracer.record(ctx, "serving.engine_wait", start=start, end=granted)
-            return self.costs.apply_time(bsz, vectorized=vectorized, now=granted, key=key)
+            nonlocal inferred
+            hold = self.costs.apply_time(bsz, vectorized=vectorized, now=granted, key=key)
+            if trace is not None:
+                inferred = self.tracer.stages(
+                    trace,
+                    start,
+                    ("serving.engine_wait", "serving.inference"),
+                    (granted, granted + hold),
+                    {1: {"gpu": self.costs.gpu}},
+                ) + 1
+            return hold
 
-        granted = yield self._engine.serve(inference_time)
-        if tracer is not None:
-            tracer.record(ctx, "serving.inference", start=granted, gpu=self.costs.gpu)
+        try:
+            yield self._engine.serve(inference_time)
+        except Interrupt:
+            if inferred is not None:
+                self.tracer.cut(inferred, inferred)
+            raise
         self.requests_served += 1
         return ScoringResult(
             points=bsz,

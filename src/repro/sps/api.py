@@ -235,7 +235,7 @@ class DataProcessor:
         self.batches_completed += 1
         # The root span closes at the same end timestamp the metrics
         # collector records, so root duration == measured e2e latency.
-        if self.tracer.enabled:
+        if batch.trace is not None:
             self.tracer.close_root(batch, end_time)
         if self.on_complete is not None:
             self.on_complete(batch, end_time)

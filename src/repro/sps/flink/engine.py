@@ -25,7 +25,7 @@ from repro import calibration as cal
 from repro.sps.api import DataProcessor
 from repro.sps.gateways import InputEvent
 from repro.simul import Resource, Store
-from repro.tracing.spans import chained_stages
+from repro.tracing.spans import OPEN, chained_stages
 
 #: Capacity of each inter-stage exchange queue (buffer pool slots).
 EXCHANGE_CAPACITY = 64
@@ -112,39 +112,65 @@ class FlinkProcessor(DataProcessor):
         ) * self.slowdown
 
     def _score(
-        self, event: InputEvent, source: float | None = None
+        self,
+        event: InputEvent,
+        source: float | None = None,
+        since: tuple[str, float] | None = None,
     ) -> typing.Generator:
-        """Returns the scoring result; ``None`` means the resilience layer
-        shed the request and the event must not reach the sink.
+        """Returns the scoring result and the record's ``flink.score``
+        span, still open for the next visit to close (None when
+        untraced). A ``None`` result means the resilience layer shed the
+        request and the event must not reach the sink.
 
         ``source`` is the chained source's cost, paid here in the same
-        kernel event as the score overhead."""
-        overhead = self.profile.score_overhead * self.slowdown
-        if source is None:
-            span = self.tracer.begin(event.batch, "flink.score")
-            yield self.env.service_timeout(overhead)
-        else:
-            span = yield from chained_stages(
-                self.env,
-                self.tracer,
-                event.batch,
-                "flink.source",
-                source,
-                "flink.score",
-                overhead,
-            )
-        result = yield from self.tool.score(event.batch.points, ctx=event.batch)
-        self.tracer.end(span)
-        return result
-
-    def _sink(self, event: InputEvent) -> typing.Generator:
+        kernel event as the score overhead. ``since`` is the record's
+        wait that ends now (``(name, start)``), written with its visit.
+        """
         batch = event.batch
-        span = self.tracer.begin(batch, "flink.sink")
-        yield self.env.service_timeout(
-            (self.profile.sink_overhead + self.encode_cost(batch)) * self.slowdown
+        scored = ("flink.score", self.profile.score_overhead * self.slowdown)
+        if source is not None:
+            scored = ("flink.source", source, *scored)
+        span = yield from chained_stages(
+            self.env, self.tracer, batch, *scored, since=since
         )
-        self.tracer.end(span)
+        result = yield from self.tool.score(batch.points, ctx=batch)
+        if result is None and span is not None:
+            self.tracer.end(span)
+            span = None
+        return result, span
+
+    def _sink(
+        self,
+        event: InputEvent,
+        since: tuple[str, float] | None = None,
+        scored: int | None = None,
+    ) -> typing.Generator:
+        """The sink operator; its visit closes the ``scored`` span."""
+        batch = event.batch
+        yield from chained_stages(
+            self.env,
+            self.tracer,
+            batch,
+            "flink.sink",
+            (self.profile.sink_overhead + self.encode_cost(batch)) * self.slowdown,
+            since=since,
+            closed=True,
+            close=scored,
+        )
         self.emit_and_complete(batch)
+
+    def _source(self, event: InputEvent, polled_at: float) -> typing.Generator:
+        """The unchained source operator: queue wait since the poll,
+        then the source's cost."""
+        yield from chained_stages(
+            self.env,
+            self.tracer,
+            event.batch,
+            "flink.source",
+            self._source_cost(event),
+            since=("flink.task_queue", polled_at),
+            closed=True,
+        )
 
     # -- task loops ----------------------------------------------------------
 
@@ -159,23 +185,30 @@ class FlinkProcessor(DataProcessor):
             events = yield from source.poll()
             polled_at = self.env.now
             for event in events:
-                self.tracer.record(event.batch, "flink.task_queue", start=polled_at)
                 if inflight is None:
-                    result = yield from self._score(event, self._source_cost(event))
+                    result, scored = yield from self._score(
+                        event,
+                        self._source_cost(event),
+                        since=("flink.task_queue", polled_at),
+                    )
                     if result is None:
                         self.batches_shed += 1
                         continue
-                    yield from self._sink(event)
+                    yield from self._sink(event, scored=scored)
                 else:
-                    span = self.tracer.begin(event.batch, "flink.source")
-                    yield self.env.service_timeout(self._source_cost(event))
-                    self.tracer.end(span)
+                    yield from self._source(event, polled_at)
                     # Async I/O: park the request with a capacity-bounded
                     # in-flight window; the task moves on to the next event.
-                    wait = self.tracer.begin(event.batch, "flink.async_wait")
+                    waited = self.env.now
                     slot = inflight.request()
                     yield slot
-                    self.tracer.end(wait)
+                    if event.batch.trace is not None:
+                        self.tracer.stages(
+                            event.batch.trace,
+                            waited,
+                            ("flink.async_wait",),
+                            (self.env.now,),
+                        )
                     self.env.process(self._async_round_trip(event, inflight, slot))
 
     def _windowed_task(self, member: int, members: int) -> typing.Generator:
@@ -187,29 +220,32 @@ class FlinkProcessor(DataProcessor):
         """
         source = self._new_source(member, members)
         window: list[InputEvent] = []
+        # When each window member entered the window.
+        entered: list[float] = []
         while True:
             events = yield from source.poll()
             polled_at = self.env.now
             for event in events:
-                self.tracer.record(event.batch, "flink.task_queue", start=polled_at)
-                span = self.tracer.begin(event.batch, "flink.source")
-                yield self.env.service_timeout(self._source_cost(event))
-                self.tracer.end(span)
-                self.tracer.mark(event.batch, "flink.windowed")
+                yield from self._source(event, polled_at)
                 window.append(event)
+                entered.append(self.env.now)
                 if len(window) >= self.scoring_window:
-                    yield from self._flush_window(window)
-                    window = []
+                    yield from self._flush_window(window, entered)
+                    window, entered = [], []
             if window and source.lag() == 0:
-                yield from self._flush_window(window)
-                window = []
+                yield from self._flush_window(window, entered)
+                window, entered = [], []
 
-    def _flush_window(self, window: list[InputEvent]) -> typing.Generator:
-        for event in window:
-            self.tracer.lapse(event.batch, "flink.window_wait", "flink.windowed")
+    def _flush_window(
+        self, window: list[InputEvent], entered: list[float]
+    ) -> typing.Generator:
+        names = ("flink.window_wait", "flink.score")
+        ends = (self.env.now, OPEN)
+        attrs = {1: {"window": len(window)}}
         spans = [
-            self.tracer.begin(event.batch, "flink.score", window=len(window))
-            for event in window
+            self.tracer.stages(event.batch.trace, start, names, ends, attrs) + 1
+            for event, start in zip(window, entered)
+            if event.batch.trace is not None
         ]
         yield self.env.service_timeout(self.profile.score_overhead * self.slowdown)
         total_points = sum(event.batch.points for event in window)
@@ -225,12 +261,12 @@ class FlinkProcessor(DataProcessor):
             yield from self._sink(event)
 
     def _async_round_trip(self, event: InputEvent, inflight: Resource, slot) -> typing.Generator:
-        result = yield from self._score(event)
+        result, scored = yield from self._score(event)
         inflight.release(slot)
         if result is None:
             self.batches_shed += 1
             return
-        yield from self._sink(event)
+        yield from self._sink(event, scored=scored)
 
     def _source_task(self, member: int, members: int, downstream: Store) -> typing.Generator:
         source = self._new_source(member, members)
@@ -238,35 +274,37 @@ class FlinkProcessor(DataProcessor):
             events = yield from source.poll()
             polled_at = self.env.now
             for event in events:
-                self.tracer.record(event.batch, "flink.task_queue", start=polled_at)
-                span = self.tracer.begin(event.batch, "flink.source")
-                yield self.env.service_timeout(self._source_cost(event))
-                self.tracer.end(span)
-                wait = self.tracer.begin(event.batch, "flink.buffer_wait")
-                # Mark at enqueue, before the put: the downstream task's
-                # lapse() is in the same tie class as this task's
-                # resumption, so a mark after the yield loses the
-                # exchange-wait span when pop order flips.
-                self.tracer.mark(event.batch, "flink.exchange")
-                yield downstream.put(event)  # blocks when buffers are full
-                self.tracer.end(wait)
+                yield from self._source(event, polled_at)
+                yield from self._hand_off(event, downstream)
+
+    def _hand_off(
+        self, event: InputEvent, downstream: Store, scored: int | None = None
+    ) -> typing.Generator:
+        """Put the event into an exchange queue (blocks when its buffers
+        are full), stamped with the enqueue time for the downstream
+        task's exchange-wait span; the visit closes the ``scored`` span."""
+        now = self.env.now
+        span = None
+        if event.batch.trace is not None:
+            span = self.tracer.stages(
+                event.batch.trace, now, ("flink.buffer_wait",), (OPEN,), close=scored
+            )
+        yield downstream.put((event, now))
+        if span is not None:
+            self.tracer.end(span)
 
     def _scoring_task(self, upstream: Store, downstream: Store) -> typing.Generator:
         while True:
-            event = yield upstream.get()
-            self.tracer.lapse(event.batch, "flink.exchange_wait", "flink.exchange")
-            result = yield from self._score(event)
+            event, enqueued = yield upstream.get()
+            result, scored = yield from self._score(
+                event, since=("flink.exchange_wait", enqueued)
+            )
             if result is None:
                 self.batches_shed += 1
                 continue
-            wait = self.tracer.begin(event.batch, "flink.buffer_wait")
-            # Enqueue mark precedes the put (same tie-race as above).
-            self.tracer.mark(event.batch, "flink.exchange")
-            yield downstream.put(event)
-            self.tracer.end(wait)
+            yield from self._hand_off(event, downstream, scored)
 
     def _sink_task(self, upstream: Store) -> typing.Generator:
         while True:
-            event = yield upstream.get()
-            self.tracer.lapse(event.batch, "flink.exchange_wait", "flink.exchange")
-            yield from self._sink(event)
+            event, enqueued = yield upstream.get()
+            yield from self._sink(event, since=("flink.exchange_wait", enqueued))

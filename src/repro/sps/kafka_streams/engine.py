@@ -61,10 +61,9 @@ class KafkaStreamsProcessor(DataProcessor):
             # a fixed cost per cycle, amortized across the cycle's records.
             yield self.env.service_timeout(cal.KAFKA_STREAMS_POLL_INTERVAL)
             for event in events:
-                self.tracer.record(event.batch, "kafka_streams.poll", start=polled_at)
-                yield from self._process_one(event)
+                yield from self._process_one(event, polled_at)
 
-    def _process_one(self, event: InputEvent) -> typing.Generator:
+    def _process_one(self, event: InputEvent, polled_at: float) -> typing.Generator:
         batch = event.batch
         consume = (self.profile.source_overhead + self.decode_cost(batch)) * self.slowdown
         # Consume, then the score operator's overhead: one kernel event.
@@ -76,14 +75,20 @@ class KafkaStreamsProcessor(DataProcessor):
             consume,
             "kafka_streams.score",
             self.profile.score_overhead * self.slowdown,
+            since=("kafka_streams.poll", polled_at),
         )
         result = yield from self.tool.score(batch.points, ctx=batch)
-        self.tracer.end(span)
+        if span is not None:
+            self.tracer.end(span)
         if result is None:  # shed by the resilience layer
             self.batches_shed += 1
             return
-        produce = (self.profile.sink_overhead + self.encode_cost(batch)) * self.slowdown
-        span = self.tracer.begin(batch, "kafka_streams.produce")
-        yield self.env.service_timeout(produce)
-        self.tracer.end(span)
+        yield from chained_stages(
+            self.env,
+            self.tracer,
+            batch,
+            "kafka_streams.produce",
+            (self.profile.sink_overhead + self.encode_cost(batch)) * self.slowdown,
+            closed=True,
+        )
         self.emit_and_complete(batch)

@@ -18,6 +18,7 @@ from repro import calibration as cal
 from repro.sps.api import DataProcessor
 from repro.sps.gateways import InputEvent
 from repro.simul import Resource, Store
+from repro.tracing.spans import OPEN, chained_stages
 
 #: Actor mailbox capacity: puts block when a downstream actor lags.
 MAILBOX_CAPACITY = 16
@@ -74,65 +75,86 @@ class RayProcessor(DataProcessor):
             events = yield from source.poll()
             polled_at = self.env.now
             for event in events:
-                self.tracer.record(event.batch, "ray.task_queue", start=polled_at)
-                span = self.tracer.begin(event.batch, "ray.input_actor")
-                yield self.env.service_timeout(
+                yield from chained_stages(
+                    self.env,
+                    self.tracer,
+                    event.batch,
+                    "ray.input_actor",
                     cal.RAY_ACTOR_OVERHEAD
                     + self.profile.source_overhead
-                    + self.decode_cost(event.batch)
+                    + self.decode_cost(event.batch),
+                    since=("ray.task_queue", polled_at),
+                    closed=True,
                 )
-                self.tracer.end(span)
-                wait = self.tracer.begin(event.batch, "ray.mailbox_wait")
-                # Mark at enqueue, before the put: the consumer's lapse()
-                # races the putter's resumption in the same tie class, so
-                # marking after the yield drops the dwell span whenever
-                # the getter pops first (verify-order caught this).
-                self.tracer.mark(event.batch, "ray.mailbox")
-                yield downstream.put(event)
-                self.tracer.end(wait)
+                yield from self._send(event, downstream)
+
+    def _send(self, event: InputEvent, mailbox: Store) -> typing.Generator:
+        """Put the event into an actor's mailbox (blocks while it is
+        full), stamped with the enqueue time for the receiver's dwell
+        span."""
+        now = self.env.now
+        span = None
+        if event.batch.trace is not None:
+            span = self.tracer.stages(
+                event.batch.trace, now, ("ray.mailbox_wait",), (OPEN,)
+            )
+        yield mailbox.put((event, now))
+        if span is not None:
+            self.tracer.end(span)
 
     def _scoring_actor(
         self, upstream: Store, downstream: Store, node_sched: Resource
     ) -> typing.Generator:
+        env = self.env
         while True:
-            event = yield upstream.get()
-            self.tracer.lapse(event.batch, "ray.mailbox_dwell", "ray.mailbox")
-            span = self.tracer.begin(event.batch, "ray.scoring_actor")
-            yield self.env.service_timeout(
-                cal.RAY_ACTOR_OVERHEAD + self.profile.score_overhead
+            event, enqueued = yield upstream.get()
+            trace = event.batch.trace
+            yield from chained_stages(
+                env,
+                self.tracer,
+                event.batch,
+                "ray.scoring_actor",
+                cal.RAY_ACTOR_OVERHEAD + self.profile.score_overhead,
+                since=("ray.mailbox_dwell", enqueued),
+                closed=True,
             )
-            self.tracer.end(span)
             # Delivery into the scoring stage crosses the node scheduler.
-            wait = self.tracer.begin(event.batch, "ray.scheduler_wait")
+            waited = env.now
             with node_sched.request() as slot:
                 yield slot
-                self.tracer.end(wait)
-                span = self.tracer.begin(event.batch, "ray.scheduler")
-                yield self.env.service_timeout(cal.RAY_NODE_PER_MESSAGE)
-                self.tracer.end(span)
-            span = self.tracer.begin(event.batch, "ray.score")
+                yield from chained_stages(
+                    env,
+                    self.tracer,
+                    event.batch,
+                    "ray.scheduler",
+                    cal.RAY_NODE_PER_MESSAGE,
+                    since=("ray.scheduler_wait", waited),
+                    closed=True,
+                )
+            span = None
+            if trace is not None:
+                span = self.tracer.stages(trace, env.now, ("ray.score",), (OPEN,))
             result = yield from self.tool.score(event.batch.points, ctx=event.batch)
-            self.tracer.end(span)
+            if span is not None:
+                self.tracer.end(span)
             if result is None:  # shed by the resilience layer
                 self.batches_shed += 1
                 continue
-            wait = self.tracer.begin(event.batch, "ray.mailbox_wait")
-            # Enqueue mark precedes the put for the same tie-race reason
-            # as in _input_actor.
-            self.tracer.mark(event.batch, "ray.mailbox")
-            yield downstream.put(event)
-            self.tracer.end(wait)
+            yield from self._send(event, downstream)
 
     def _output_actor(self, upstream: Store) -> typing.Generator:
         while True:
-            event: InputEvent = yield upstream.get()
+            event, enqueued = yield upstream.get()
             batch = event.batch
-            self.tracer.lapse(batch, "ray.mailbox_dwell", "ray.mailbox")
-            span = self.tracer.begin(batch, "ray.output_actor")
-            yield self.env.service_timeout(
+            yield from chained_stages(
+                self.env,
+                self.tracer,
+                batch,
+                "ray.output_actor",
                 cal.RAY_ACTOR_OVERHEAD
                 + self.profile.sink_overhead
-                + self.encode_cost(batch)
+                + self.encode_cost(batch),
+                since=("ray.mailbox_dwell", enqueued),
+                closed=True,
             )
-            self.tracer.end(span)
             self.emit_and_complete(batch)

@@ -21,7 +21,8 @@ from repro import calibration as cal
 from repro.netsim.link import LAN
 from repro.sps.api import DataProcessor
 from repro.sps.gateways import InputEvent
-from repro.simul import Resource
+from repro.simul import Interrupt, Resource
+from repro.tracing.spans import OPEN, chained_stages
 
 
 class SparkProcessor(DataProcessor):
@@ -68,14 +69,19 @@ class SparkProcessor(DataProcessor):
                 cal.SPARK_TRIGGER_OVERHEAD
                 + len(events) * cal.SPARK_DRIVER_PER_EVENT
             )
-            for event in events:
-                self.tracer.record(event.batch, "spark.driver", start=polled_at)
+            now = self.env.now
+            waits = [
+                self.tracer.stages(
+                    event.batch.trace,
+                    polled_at,
+                    ("spark.driver", "spark.schedule_wait"),
+                    (now, OPEN),
+                ) + 1
+                for event in events
+                if event.batch.trace is not None
+            ]
             # Spark overlaps fetching/planning the next micro-batch with
             # executing the current one, bounded by the in-flight cap.
-            waits = [
-                self.tracer.begin(event.batch, "spark.schedule_wait")
-                for event in events
-            ]
             slot = self._inflight.request()
             yield slot
             for wait in waits:
@@ -95,45 +101,60 @@ class SparkProcessor(DataProcessor):
         return [chunk for chunk in chunks if chunk]
 
     def _chunk_task(self, events: list[InputEvent]) -> typing.Generator:
-        # Executor-side Kafka read of this chunk's record data.
+        env = self.env
+        # Executor-side Kafka read of this chunk's record data, the
+        # chunk's CPU, then one batched, vectorized inference call: each
+        # traced record's visit is written ahead, with its score open.
         chunk_bytes = sum(e.nbytes for e in events)
-        if chunk_bytes:
-            spans = [
-                self.tracer.begin(e.batch, "spark.executor_fetch") for e in events
-            ]
-            yield self.env.service_timeout(LAN.transfer_time(chunk_bytes))
-            for span in spans:
-                self.tracer.end(span)
+        fetch = LAN.transfer_time(chunk_bytes) if chunk_bytes else None
         decode = sum(self.decode_cost(e.batch) for e in events)
         overheads = len(events) * (
             self.profile.source_overhead + self.profile.score_overhead
         )
-        spans = [self.tracer.begin(e.batch, "spark.chunk_cpu") for e in events]
-        yield self.env.service_timeout((decode + overheads) * self.slowdown)
-        for span in spans:
-            self.tracer.end(span)
-        # One batched, vectorized inference call for the whole chunk.
-        total_points = sum(e.batch.points for e in events)
-        spans = [
-            self.tracer.begin(e.batch, "spark.score", chunk=len(events))
+        cpu = (decode + overheads) * self.slowdown
+        now = env.now
+        if fetch is None:
+            names: tuple = ("spark.chunk_cpu", "spark.score")
+            ends: tuple = (now + cpu, OPEN)
+        else:
+            names = ("spark.executor_fetch", "spark.chunk_cpu", "spark.score")
+            ends = (now + fetch, (now + fetch) + cpu, OPEN)
+        attrs = {len(names) - 1: {"chunk": len(events)}}
+        visits = [
+            self.tracer.stages(e.batch.trace, now, names, ends, attrs)
             for e in events
+            if e.batch.trace is not None
         ]
+        done = 0  # stages the chunk has finished
+        try:
+            if fetch is not None:
+                yield env.service_timeout(fetch)
+                done += 1
+            yield env.service_timeout(cpu)
+        except Interrupt:
+            for first in visits:
+                self.tracer.cut(first + done, first + len(names) - 1)
+            raise
         # ctx carries the chunk's oldest batch: serving attributes its
         # spans (and, crucially, its content-keyed noise draw) to a
         # stable member instead of drawing in schedule order.
+        total_points = sum(e.batch.points for e in events)
         result = yield from self.tool.score(
             total_points, vectorized=True, ctx=events[0].batch
         )
-        for span in spans:
-            self.tracer.end(span)
+        for first in visits:
+            self.tracer.end(first + len(names) - 1)
         if result is None:  # shed by the resilience layer
             self.batches_shed += len(events)
             return
         for event in events:
             batch = event.batch
-            span = self.tracer.begin(batch, "spark.sink")
-            yield self.env.service_timeout(
-                (self.profile.sink_overhead + self.encode_cost(batch)) * self.slowdown
+            yield from chained_stages(
+                env,
+                self.tracer,
+                batch,
+                "spark.sink",
+                (self.profile.sink_overhead + self.encode_cost(batch)) * self.slowdown,
+                closed=True,
             )
-            self.tracer.end(span)
             self.emit_and_complete(batch)

@@ -14,13 +14,25 @@ simulated time. A traced run therefore executes the *identical* event
 sequence as an untraced one (the determinism regression test asserts
 byte-identical latency statistics).
 
-Spans are stored as columns, one row per span: trace id and name in
-lists, start and end times in ``array('d')`` (NaN while open), and
-explicit parents and attrs in sparse dicts keyed by row. A stored span
-costs about 45 bytes, and the hot path allocates nothing per span beyond
+Spans are stored as columns, one row per span: its name and its end
+time (NaN while open), plus one (first row, trace id, start) triple per
+*visit*, the consecutive rows one call wrote, each row starting where
+the one before it ends. Explicit parents and attrs live in sparse dicts
+keyed by row. The columns are lists, which a call extends in a few tens
+of nanoseconds where an ``array`` takes hundreds; a stored span costs
+about 65 bytes, and the hot path allocates nothing per span beyond
 column entries.
-``begin``/``record``/``lapse`` hand back the int span id; :class:`Span`
-objects are views, built from the columns when a trace is queried.
+``begin``/``record``/``stages`` hand back the int span id;
+:class:`Span` objects are views, built from the columns when a trace is
+queried.
+
+A component writes each *visit* of a record once, with
+:meth:`Tracer.stages`: every stage whose end is already known becomes a
+closed row, also when it starts or ends after the clock. One rule makes
+such rows read like sequential ``begin``/``end`` pairs: a row is visible
+once the clock reaches its start, and it is open until the clock reaches
+its end. An interrupt cuts a visit (:meth:`Tracer.cut`): the running
+stage stays open and the later ones never start.
 
 Memory at high input rates is bounded by head-based sampling: the
 sampling decision is taken once, when the batch is created
@@ -30,8 +42,7 @@ traces once reached — spans of unsampled records are never stored.
 
 from __future__ import annotations
 
-import array
-import collections
+import bisect
 import dataclasses
 import math
 import typing
@@ -57,8 +68,8 @@ class TraceOptions:
     #: Head-based sampling: trace every Nth batch (1 = every batch).
     sample_every: int = 1
     #: Hard cap on admitted traces; bounds memory at 30k ev/s. At about
-    #: 41 spans per record and ~45 bytes per stored span, the default
-    #: cap holds under 8 MiB of spans (views are built only on query).
+    #: 41 spans per record and ~65 bytes per stored span, the default
+    #: cap holds under 11 MiB of spans (views are built only on query).
     max_traces: int = 4096
 
     def __post_init__(self) -> None:
@@ -70,8 +81,8 @@ class TraceOptions:
             raise ConfigError(f"max_traces must be >= 1, got {self.max_traces}")
 
 
-#: The end time of a span that is still open.
-_OPEN = math.nan
+#: The end time of a span that is still open, or that an interrupt cut.
+OPEN = math.nan
 
 
 class Span:
@@ -121,8 +132,8 @@ class Span:
 class NullTracer:
     """Tracing disabled: every operation is a no-op returning None.
 
-    Instrumentation sites call the tracer unconditionally; with this
-    singleton installed nothing is allocated and no state is touched.
+    It admits no trace (``make_context`` returns None), so the record
+    path, which tests each record's trace first, never calls it.
     """
 
     enabled = False
@@ -142,12 +153,6 @@ class NullTracer:
     def record(self, obj, name, start, end=None, parent=None, **attrs) -> None:
         return None
 
-    def mark(self, obj, key) -> None:
-        return None
-
-    def lapse(self, obj, name, key, parent=None, **attrs) -> None:
-        return None
-
     def close_root(self, obj, end_time=None) -> None:
         return None
 
@@ -162,16 +167,19 @@ NO_TRACE = NullTracer()
 class Tracer:
     """Collects spans per trace, in simulated time, as columns.
 
-    Accepts a ``CrayfishDataBatch`` (anything with a ``trace``
-    attribute), a :class:`TraceContext`, or ``None`` wherever a trace
-    subject is expected; unsampled subjects make every call a no-op, so
-    call sites need no sampling checks.
+    ``begin``/``record`` accept a ``CrayfishDataBatch``
+    (anything with a ``trace`` attribute), a :class:`TraceContext`, or
+    ``None``, and unsampled subjects make them no-ops. The record path
+    writes with :meth:`stages`, which takes the context of a traced
+    record: its call sites test ``batch.trace`` first, so an untraced
+    record costs no call.
 
     Span handles are int span ids. Row ``r`` of the columns holds span id
     ``r + 1``; ids follow one global counter across traces, roots
-    included. :meth:`spans`, :meth:`root` and :meth:`span` build
-    :class:`Span` views from the columns and cache them until the next
-    write.
+    included. Rows come in *visits*, runs of consecutive stages of one
+    trace that one call wrote. :meth:`spans`, :meth:`root` and
+    :meth:`span` build :class:`Span` views from the columns and cache
+    them until the next write.
     """
 
     enabled = True
@@ -188,29 +196,22 @@ class Tracer:
         self.max_traces = options.max_traces
         #: Traces rejected by the max_traces cap (not by sample_every).
         self.dropped = 0
-        # One entry per span, indexed by row; NaN ends mark open spans.
-        self._trace: list[int] = []
+        # One entry per span, indexed by row: its name and its end (NaN
+        # while open).
         self._name: list[str] = []
-        self._start = array.array("d")
-        self._end = array.array("d")
+        self._end: list[float] = []
+        # Three entries per visit: its first row, trace id and start.
+        # Every other row of a visit starts where the row before it ends.
+        self._visits: list[float] = []
         # Sparse: explicit parent span ids and attrs, by row. A span with
         # no explicit parent hangs off its trace's root.
         self._parent: dict[int, int] = {}
         self._attrs: dict[int, dict] = {}
         # Trace id -> row of its root span, in admission order.
         self._root_row: dict[int, int] = {}
-        self._marks: dict[tuple[int, str], float] = {}
-        # Stage pairs written ahead by chained_stages, oldest first:
-        # (handoff time, first row, second row). Until the clock reaches
-        # the handoff, views show the first open and the second unbegun.
-        self._ahead: collections.deque[tuple[float, int, int]] = collections.deque()
-        # Second rows of chains interrupted before their handoff.
-        self._cut: set[int] = set()
-        # Query cache (clock, trace id -> rows, trace id -> views, rows
-        # still open at the clock); any write, or a new clock, drops it.
-        self._cache: (
-            tuple[float, dict[int, list[int]], dict[int, list[Span]], set[int]] | None
-        ) = None
+        # Query cache (clock, trace id -> visible (row, start) pairs,
+        # trace id -> views); any write, or a new clock, drops it.
+        self._cache: tuple | None = None
 
     # -- admission -------------------------------------------------------
 
@@ -225,8 +226,11 @@ class Tracer:
         if len(self._root_row) >= self.max_traces:
             self.dropped += 1
             return None
-        self._root_row[batch_id] = len(self._name)
-        self._append(batch_id, "record", created_at, _OPEN)
+        row = self._root_row[batch_id] = len(self._name)
+        self._name.append("record")
+        self._end.append(OPEN)
+        self._visits.extend((row, batch_id, created_at))
+        self._cache = None
         return TraceContext(trace_id=batch_id)
 
     def context_of(self, obj: typing.Any) -> TraceContext | None:
@@ -247,12 +251,11 @@ class Tracer:
         parent: int | None = None,
         attrs: dict | None = None,
     ) -> int:
-        """Add one row; returns its span id."""
+        """Add a visit of one row; returns its span id."""
         row = len(self._name)
-        self._trace.append(trace_id)
         self._name.append(name)
-        self._start.append(start)
         self._end.append(end)
+        self._visits.extend((row, trace_id, start))
         if parent is not None:
             self._parent[row] = parent
         if attrs:
@@ -275,15 +278,17 @@ class Tracer:
             return None
         if start is None:
             start = self.env.now
-        return self._append(ctx.trace_id, name, start, _OPEN, parent, attrs)
+        return self._append(ctx.trace_id, name, start, OPEN, parent, attrs)
 
     def end(self, span: int | None, **attrs: typing.Any) -> None:
         """Close a span now (None-safe)."""
         if span is None:
             return
-        self._end[span - 1] = self.env.now
+        row = span - 1
+        self._end[row] = self.env.now
         if attrs:
-            self._attrs.setdefault(span - 1, {}).update(attrs)
+            # Rows written by stages() may share one attrs dict: copy.
+            self._attrs[row] = {**self._attrs.get(row, {}), **attrs}
         self._cache = None
 
     def record(
@@ -305,47 +310,47 @@ class Tracer:
             raise ValueError(f"span {name!r}: end {end} before start {start}")
         return self._append(ctx.trace_id, name, start, end, parent, attrs)
 
-    def _write_ahead(self, handoff: float, first: int, second: int) -> None:
-        """Hold back two spans :func:`chained_stages` wrote ahead of the
-        clock: ``first`` ends and ``second`` begins at ``handoff``."""
-        ahead = self._ahead
-        now = self.env.now
-        while ahead and ahead[0][0] <= now:
-            ahead.popleft()
-        ahead.append((handoff, first - 1, second - 1))
-
-    def _cut_ahead(self, first: int, second: int) -> None:
-        """A chain interrupted before its handoff: ``first`` stays open
-        and ``second`` never begins."""
-        self._end[first - 1] = _OPEN
-        self._cut.add(second - 1)
-        self._cache = None
-
-    # -- marks: measure waits across process boundaries ------------------
-
-    def mark(self, obj: typing.Any, key: str) -> None:
-        """Remember 'now' under ``key`` for a later :meth:`lapse`."""
-        ctx = self.context_of(obj)
-        if ctx is None:
-            return
-        self._marks[(ctx.trace_id, key)] = self.env.now
-
-    def lapse(
+    def stages(
         self,
-        obj: typing.Any,
-        name: str,
-        key: str,
-        parent: int | None = None,
-        **attrs: typing.Any,
-    ) -> int | None:
-        """Record a span from the matching :meth:`mark` to now."""
-        ctx = self.context_of(obj)
-        if ctx is None:
-            return None
-        start = self._marks.pop((ctx.trace_id, key), None)
-        if start is None:
-            return None
-        return self.record(ctx, name, start=start, parent=parent, **attrs)
+        trace: TraceContext,
+        start: float,
+        names: tuple[str, ...],
+        ends: tuple[float, ...],
+        attrs: dict[int, dict] | None = None,
+        close: int | None = None,
+    ) -> int:
+        """Write one visit of a record: the stages ``names``, the first
+        from ``start``, each ending at its entry of ``ends`` where the
+        next begins. Returns the first stage's span id; the others
+        follow it.
+
+        ``trace`` is the record's own context (callers skip untraced
+        records). Ends may lie ahead of the clock, and the last one may
+        be :data:`OPEN` for the caller to :meth:`end`. ``attrs`` maps a
+        stage's index to its attrs. ``close`` is an open span of the
+        record that ends where this visit starts.
+        """
+        ends_column = self._end
+        if close is not None:
+            ends_column[close - 1] = start
+        first = len(self._name)
+        self._name.extend(names)
+        ends_column.extend(ends)
+        self._visits.extend((first, trace.trace_id, start))
+        if attrs is not None:
+            for index, values in attrs.items():
+                self._attrs[first + index] = values
+        self._cache = None
+        return first + 1
+
+    def cut(self, running: int, last: int) -> None:
+        """An interrupt cut a visit :meth:`stages` wrote: the stage
+        ``running`` stays open, and the stages after it, up to ``last``,
+        never begin (each starts where an open stage ends)."""
+        ends = self._end
+        for row in range(running - 1, last):
+            ends[row] = OPEN
+        self._cache = None
 
     # -- root management -------------------------------------------------
 
@@ -355,13 +360,15 @@ class Tracer:
         Idempotent: under at-least-once replay the first completion wins
         (matching the metrics collector's duplicate accounting).
         """
-        ctx = self.context_of(obj)
-        if ctx is None:
+        ctx = getattr(obj, "trace", obj)
+        if ctx.__class__ is not TraceContext:
             return
-        row = self._root_row[ctx.trace_id]
-        if not math.isnan(self._end[row]):
+        row = self._root_row.get(ctx.trace_id)
+        if row is None or not math.isnan(self._end[row]):
             return
-        self._end[row] = self.env.now if end_time is None else end_time
+        if end_time is None:
+            end_time = self.env.now
+        self._end[row] = end_time
         self._cache = None
 
     # -- queries ---------------------------------------------------------
@@ -380,33 +387,34 @@ class Tracer:
     def _views(self, trace_id: int) -> list[Span]:
         """The cached views of one trace, root first, in recording order.
 
-        Spans :func:`chained_stages` wrote ahead show as of the clock: a
-        second stage the clock has not reached is left out, and the
-        first stage before it is still open.
+        Rows show as of the clock: a row is visible once the clock has
+        reached its start, and open until the clock reaches its end. A
+        row after an open one in its visit (cut by an interrupt) starts
+        at NaN, so it never shows.
         """
         now = self.env.now
         if self._cache is None or self._cache[0] != now:
-            unbegun = set(self._cut)
-            unended = set()
-            for handoff, first, second in self._ahead:
-                if handoff > now:
-                    unended.add(first)
-                    unbegun.add(second)
-            rows: dict[int, list[int]] = {t: [] for t in self._root_row}
-            for row, owner in enumerate(self._trace):
-                if row not in unbegun:
-                    rows[owner].append(row)
-            self._cache = (now, rows, {}, unended)
-        __, rows, views, unended = self._cache
+            rows: dict[int, list[tuple[int, float]]] = {t: [] for t in self._root_row}
+            ends = self._end
+            visits = self._visits
+            bounds = [*visits[0::3], len(self._name)]
+            for visit, owner in enumerate(visits[1::3]):
+                visible = rows[owner]
+                start = visits[3 * visit + 2]
+                for row in range(bounds[visit], bounds[visit + 1]):
+                    if start <= now:
+                        visible.append((row, start))
+                    start = ends[row]
+            self._cache = (now, rows, {})
+        __, rows, views = self._cache
         built = views.get(trace_id)
         if built is None:
             built = views[trace_id] = [
-                self._view(row, row in unended) for row in rows[trace_id]
+                self._view(trace_id, row, start, now) for row, start in rows[trace_id]
             ]
         return built
 
-    def _view(self, row: int, unended: bool) -> Span:
-        trace_id = self._trace[row]
+    def _view(self, trace_id: int, row: int, start: float, now: float) -> Span:
         parent = self._parent.get(row)
         root_row = self._root_row[trace_id]
         if parent is None and row != root_row:
@@ -417,8 +425,8 @@ class Tracer:
             row + 1,
             parent,
             self._name[row],
-            start=self._start[row],
-            end=None if unended or math.isnan(end) else end,
+            start=start,
+            end=end if end <= now else None,
             attrs=self._attrs.get(row),
         )
 
@@ -433,11 +441,11 @@ class Tracer:
         """The view of one span, by the id ``begin``/``record`` returned."""
         if not 0 < span_id <= len(self._name):
             raise KeyError(span_id)
-        views = self._views(self._trace[span_id - 1])
-        for view in views:
+        visit = bisect.bisect_right(self._visits[0::3], span_id - 1) - 1
+        for view in self._views(self._visits[3 * visit + 1]):
             if view.span_id == span_id:
                 return view
-        raise KeyError(span_id)  # a second stage the clock has not reached
+        raise KeyError(span_id)  # a stage the clock has not reached
 
     @property
     def span_count(self) -> int:
@@ -448,35 +456,65 @@ def chained_stages(
     env: "Environment",
     tracer: typing.Any,
     obj: typing.Any,
-    first: str,
-    first_wait: float,
-    second: str,
-    second_wait: float,
+    *stages: typing.Any,
+    since: tuple[str, float] | None = None,
+    closed: bool = False,
+    close: int | None = None,
+    attrs: dict | None = None,
 ) -> typing.Generator:
-    """Coroutine: spend ``first_wait`` in stage ``first``, then
-    ``second_wait`` in stage ``second``, as one kernel event
-    (``service_timeout(first_wait, then=second_wait)``). Returns the id
-    of ``second``'s span, still open for the caller to end.
+    """Coroutine: spend each of ``stages`` in turn as one kernel event,
+    and return the id of the last stage's span, still open for the
+    caller to end unless ``closed`` (None for an untraced ``obj``).
 
-    Both spans are written at once, with the floats two sequential waits
-    would give them: ``first`` closed at the handoff, ``second`` open
-    from it. Views show them as of the clock, and an interrupt before
-    the handoff leaves ``first`` open and ``second`` unbegun, so they
-    match the sequential waits' views.
+    ``stages`` is one or two stages, ``name, wait[, name, wait]``: one
+    wait is ``service_timeout(wait)``, two are ``service_timeout(first,
+    then=second)``. ``since`` is ``(name, start)`` of a stage that ends
+    now, such as the queue wait before the visit; it is written first.
+    ``close`` is an open span that ends where the visit starts.
+    ``attrs`` are given to each of ``stages`` (not to ``since``).
+
+    All stages are written at once (:meth:`Tracer.stages`), with the
+    floats sequential waits would give them, so views and exports
+    match those waits' at any clock. An interrupt cuts the chain at the
+    stage running when it lands (:meth:`Tracer.cut`).
     """
-    handoff = env.now + first_wait
-    head = tracer.record(obj, first, start=env.now, end=handoff)
-    span = None
-    if head is not None:
-        span = tracer.begin(obj, second, start=handoff)
-        tracer._write_ahead(handoff, head, span)
+    trace = getattr(obj, "trace", obj)
+    if len(stages) == 2:
+        name, wait = stages
+        then = None
+    else:
+        name, wait, second, then = stages
+    if trace is None:
+        yield env.service_timeout(wait, then=then)
+        return None
+    now = env.now
+    handoff = now + wait
+    end = (handoff if then is None else handoff + then) if closed else OPEN
+    if since is None:
+        start = now
+        if then is None:
+            names: tuple = (name,)
+            ends: tuple = (end,)
+        else:
+            names, ends = (name, second), (handoff, end)
+    else:
+        start = since[1]
+        if then is None:
+            names, ends = (since[0], name), (now, end)
+        else:
+            names, ends = (since[0], name, second), (now, handoff, end)
+    if attrs is not None:
+        first = len(names) - len(stages) // 2
+        attrs = {index: attrs for index in range(first, len(names))}
+    last = tracer.stages(trace, start, names, ends, attrs, close) + len(names) - 1
     try:
-        yield env.service_timeout(first_wait, then=second_wait)
+        yield env.service_timeout(wait, then=then)
     except Interrupt:
-        if head is not None and env.now < handoff:
-            tracer._cut_ahead(head, span)
+        # The stage the interrupt landed in stays open.
+        running = last - 1 if then is not None and env.now < handoff else last
+        tracer.cut(running, last)
         raise
-    return span
+    return last
 
 
 def make_tracer(env: "Environment", trace: typing.Any) -> Tracer | NullTracer:

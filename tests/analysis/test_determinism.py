@@ -2,11 +2,7 @@
 linter's clean-tree gate."""
 
 import dataclasses
-import pathlib
 
-import pytest
-
-from repro.analysis.core import lint_paths
 from repro.analysis.order import (
     ARTIFACTS,
     run_fingerprints,
@@ -14,8 +10,6 @@ from repro.analysis.order import (
     verify_order,
 )
 from repro.config import SPS_NAMES, ExperimentConfig
-
-REPO = pathlib.Path(__file__).resolve().parents[2]
 
 SMALL = ExperimentConfig(
     sps="flink", serving="onnx", model="ffnn", ir=60.0, duration=1.0
@@ -54,12 +48,6 @@ def test_fingerprints_cover_every_surface():
     artifacts = run_fingerprints(SMALL)
     assert set(artifacts) == set(ARTIFACTS)
     assert all(isinstance(v, bytes) and v for v in artifacts.values())
-
-
-@pytest.fixture(scope="module")
-def source_tree_reports():
-    """One lint of `src/`, read by both source-tree checks."""
-    return lint_paths([str(REPO / "src")])
 
 
 def test_source_tree_lints_clean(source_tree_reports):

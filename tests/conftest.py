@@ -1,6 +1,14 @@
-"""Suite-wide pytest plumbing (golden-result refresh flag)."""
+"""Suite-wide pytest plumbing (golden-result refresh flag, one lint of
+the source tree)."""
+
+import pathlib
 
 import pytest
+
+from repro.analysis.core import lint_paths
+
+#: The source tree every whole-tree lint check reads.
+SOURCE_TREE = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 def pytest_addoption(parser):
@@ -17,3 +25,10 @@ def pytest_addoption(parser):
 def update_golden(request):
     """True when the run should refresh golden files, not check them."""
     return request.config.getoption("--update-golden")
+
+
+@pytest.fixture(scope="session")
+def source_tree_reports():
+    """One lint of ``src/`` per session, read by every check of the
+    whole tree (it takes seconds)."""
+    return lint_paths([SOURCE_TREE])

@@ -39,6 +39,18 @@ def test_efficientnet_matches_published_characteristics():
     assert 0.7e9 <= info.flops_per_point <= 0.95e9
 
 
+def test_flop_counts_are_pinned():
+    # MBConv residuals add without a ReLU; ResNet's bottlenecks have one.
+    assert model_info("efficientnet_b0").flops_per_point == 820_781_464
+    assert model_info("resnet50").flops_per_point == 7_753_631_672
+
+
+def test_residual_without_final_relu_charges_only_the_add():
+    main = [Dense((4,), 4)]
+    block = Residual((4,), main, final_relu=False)
+    assert block.flops_per_point == main[0].flops_per_point + 4
+
+
 def test_efficientnet_sits_between_mobilenet_in_params():
     assert (
         model_info("mobilenet").param_count

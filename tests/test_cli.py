@@ -396,7 +396,23 @@ def test_missing_command_rejected():
         build_parser().parse_args([])
 
 
-def test_lint_command_clean_tree(capsys):
+@pytest.fixture
+def linted_source_tree(monkeypatch, source_tree_reports):
+    """``crayfish lint src`` reads the session's one lint of ``src/``
+    (rendering and exit codes still run)."""
+    from repro.analysis import core
+
+    lint_paths = core.lint_paths
+
+    def cached(paths, rules=None):
+        if list(paths) == ["src"]:
+            return source_tree_reports
+        return lint_paths(paths, rules)
+
+    monkeypatch.setattr(core, "lint_paths", cached)
+
+
+def test_lint_command_clean_tree(capsys, linted_source_tree):
     code = main(["lint", "src"])
     assert code == 0
     out = capsys.readouterr().out
@@ -442,7 +458,7 @@ def test_lint_command_rule_catalogue(capsys):
         assert rule in out
 
 
-def test_lint_command_list_suppressions(capsys):
+def test_lint_command_list_suppressions(capsys, linted_source_tree):
     code = main(["lint", "src", "--list-suppressions"])
     assert code == 0
     out = capsys.readouterr().out

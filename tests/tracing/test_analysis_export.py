@@ -36,6 +36,7 @@ def hand_built_trace(env=None):
     b = tracer.record(ctx, "b", start=4.0, end=7.0)
     tracer.record(ctx, "b_inner", start=5.0, end=6.0, parent=b)
     tracer.close_root(ctx, end_time=10.0)
+    env.run(until=10.0)  # views show the trace as of the clock
     return tracer
 
 
@@ -58,6 +59,7 @@ def test_overlapping_same_depth_spans_tie_to_later_start():
     tracer.record(ctx, "first", start=0.0, end=6.0)
     tracer.record(ctx, "second", start=2.0, end=4.0)
     tracer.close_root(ctx, end_time=6.0)
+    env.run(until=6.0)
     breakdown = record_breakdown(tracer, 0)
     assert breakdown == {"first": 4.0, "second": 2.0}
 
@@ -69,6 +71,7 @@ def test_spans_clipped_to_root_window():
     # Starts before the root and ends after it: only [1, 3] counts.
     tracer.record(ctx, "early", start=0.0, end=3.0)
     tracer.close_root(ctx, end_time=3.0)
+    env.run(until=3.0)
     assert record_breakdown(tracer, 0) == {"early": 2.0}
 
 
@@ -115,6 +118,7 @@ def test_breakdown_table_aggregates_and_sorts():
         tracer.record(ctx, "a", start=0.0, end=a_len)
         tracer.record(ctx, "b", start=a_len, end=a_len + b_len)
         tracer.close_root(ctx, end_time=a_len + b_len)
+    env.run(until=6.0)
     table = breakdown_table(tracer)
     assert [s.stage for s in table] == ["a", "b"]
     a = table[0]
@@ -136,6 +140,7 @@ def test_breakdown_table_cutoff_discards_warmup():
     ctx = tracer.make_context(1, created_at=5.0)
     tracer.record(ctx, "steady", start=5.0, end=6.0)
     tracer.close_root(ctx, end_time=6.0)
+    env.run(until=6.0)
     table = breakdown_table(tracer, cutoff=2.0)
     assert [s.stage for s in table] == ["steady"]
     assert bottleneck(tracer, cutoff=100.0) is None

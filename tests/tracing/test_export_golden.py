@@ -140,68 +140,68 @@ def export_digests(case: str) -> dict[str, str]:
 GOLDEN: dict[str, dict[str, str]] = {
     "cluster-3n": {
         "chrome": "d61c67555b192e7b4060c4250ecc33f658b3c886d1309e06d56b0cebf8f6b4a7",
-        "csv": "4a7b2584a90265f9bac6fb5d9ce5af8073974b701382934c62547c7d51fe85fe",
+        "csv": "51a2158e9dac580d2dddf117061db32d56483099a4c880104c10358d7947b3fc",
         "breakdown": "f241d50990f98d50ddda9e0a3d72ebe9b051a068005f8ae6fa5b563a2bbe369e",
         "ranking": "128d3c62220c672aa6f2cb5cbdbf95a19b368d30996ce0534f32bc0870ae4802",
         "nodes": "2bf1f590cb9bed91b564271dd360d70a407653b7644954fba6371858a1c54898",
     },
     "flink-onnx": {
         "chrome": "18211e652780bf6b516ef660ddcf66973a787cbb567c351ca88e919bf1ba054b",
-        "csv": "b51383782d6ee5e24cc15d681a5bc74c6caadea36b7039b437953239c21a778f",
+        "csv": "ed00aaa3153e3b04565327c57f6bbfacdf814d3883a80ca18f351e436be54655",
         "breakdown": "2148777509e0c5d5e07a27e704568fde25cc4773d449c6b50f69dfa9f343355d",
         "ranking": "22679f6cc22f438fd3774a0006037dd6e7f00d855f1ada469647652850ad7a60",
     },
     "flink-tf_serving": {
         "chrome": "6acbe3994f4d9ed4db3f779378e9dda280de5fff83b0fbe1deba0a2a53084b34",
-        "csv": "84e6e7c35ffdfc4cea693e9f376ff60ae5a2406bb2839f9ec4815d53d042d1a1",
+        "csv": "4eca16964499ce551f5d869e6b8707f2660c36a20459aacf29d2167efd424f40",
         "breakdown": "d15f941217e85fa5f2562f37e852ffea1f3bddffb834753c5c1c4ce49726ad5d",
         "ranking": "fecf473ac009a2932a37a33ce05db217f5c10bcdbe7f3e24f607409cab5d0ffd",
     },
     "kafka_streams-onnx": {
         "chrome": "cfdb97bba40624a086b73bd7d1677ca4055f9f11d375ff7f0228425f1443da0b",
-        "csv": "bf9a08ce863af5d8469e790bfd229e69011dfbec9fffc76f275052d99e1f1502",
+        "csv": "b229f8ad8665959bf87c62595670680e61941f7e5309dae3927c4eec312cd272",
         "breakdown": "b05f77e27c955f677fbc1e23d7b8336f4da57cea50394bd7a28c0dd10885368b",
         "ranking": "941d65157bbb5b75d0d69ff7d81eabe420d67607d5b89c5a78dd876e87cc2222",
     },
     "kafka_streams-tf_serving": {
         "chrome": "7700ba38e128c71ff9f066927e1d0440ea06124c75ebb0417c1ae87d2e5b55f6",
-        "csv": "d6cdb43e57e45cbf9b73500be7351b2b795853961489b0c1aaaa6a0c82919168",
+        "csv": "9ceabad2e7887bac40c653e9b75f5554e50aee11ffb49f4ef72f28b473701305",
         "breakdown": "3b4bcfd5fb07b01a27ab29af44a6142d65ddc56e7e00ef4c8cb96ddec32a4970",
         "ranking": "e8e8b0b93cf3d578695f09cb6454eab6e85038889c186e793c231e3eb4186012",
     },
     "ray-onnx": {
         "chrome": "c30f2575c49f3730d45f14eda9e0575ae8cddbddfe18578fef3cf39ed0b33d2a",
-        "csv": "c7e566bd12fa6c3bdaaa77b8e9008a409568e02d17bbe54473a8b153712b2ed2",
+        "csv": "43ef2db8257fc5d7a51b97d236436dbbc815976d9c9bb1e011bbcb2f0fa485bc",
         "breakdown": "009899b03d3825d2ced14175b8ddd1336d791172cf6622a1764ecda4f719e62a",
         "ranking": "ed3beecf63b2d7f1748ffd7510a886b64004cc1b71e5599f8145f9fe527e9d52",
     },
     "ray-tf_serving": {
         "chrome": "6d3a91dfcd80e3850389e2dee2fa604f3fca43e17ef05509e70f02fef22eab2a",
-        "csv": "2725b6c77325c7fb409a4d81d363efdb94963520bf94c710fc457e3f1b3beb0c",
+        "csv": "0484b7e945e9af72252b0a586c94d10aab9841c23d363369dacc5bf5284f73fc",
         "breakdown": "a39b16afcd126a17b7b8fc9c85f03c721dd87b975730d7f76cc10db91e47bba1",
         "ranking": "a3ac0093a36d06d2be6ba4b1cfebd124ac0082033eba2e48ff85229406746f51",
     },
     "sampled": {
         "chrome": "fcc5d5986f5d78b2ba46bab0ee7975e742b28ad557d6948bd0e0eac619efa0a4",
-        "csv": "ffe2057c2b1f234747b61a5e563519c9e61cb7eef07a00051b7071007ae228ac",
+        "csv": "1a4bacab0d6ecda44d0c475107b4c9626ae19ce52cbfdeca52846dde989d9d29",
         "breakdown": "e4dcbabb54b84556bab9b652105dbe885a07ee643322ea47d686eaa5886ec594",
         "ranking": "bc76002c8550d620646245ba5b302163ecfabbab6cef87eb37158638efcf39e8",
     },
     "server-crash": {
         "chrome": "40d63bf64b2faedc73dea6cb85ddaa30867c722a9f75908c0d4951ff6847af09",
-        "csv": "8356ebd5906362c4b42e79ff916325bf017c790ee6c30a83316ed1c42dac45fc",
+        "csv": "6bc115ba3c232c276f7c218ccb6e21f1bd8e1680e4fdbbb4bde2f2c019961dda",
         "breakdown": "b3b278b07b63fc6eb66a166ab8dfa2ebcec0e616acc26cf878915a0e7203cc1e",
         "ranking": "e08f3cec22853d76529af291c612a50b13ba1b2bcb5ecc28779e11d7324ea9f0",
     },
     "spark_ss-onnx": {
         "chrome": "893210866991e01dc27f8d33e4dc6c92c22f94afe0a9f7ad02611b2c9455fd13",
-        "csv": "2dda98850838c0503925e8f6787a699c5bc2413b5d17c2f5e766fb599c231bd9",
+        "csv": "5f5f9865c9caf0585c485a0978f3ec3dd1a12a25ae9201bd21d9fd06545e30b5",
         "breakdown": "1682070bbe8bc2bc3fe5ce7c06a1f00cab98f87f8db8396a56584d9db3a493e1",
         "ranking": "e64d548dd39a9948daf4c625aed17db9908ef412dae3fda560d612d7618bf162",
     },
     "spark_ss-tf_serving": {
         "chrome": "32ef005cc7809c07aa6616b057bb980d39ae80a987b30c93e1f2da17a308f924",
-        "csv": "698e8b9947f63ba7841a35fb14c9460fc71b124bad96b5ce6c4cee7778803cb3",
+        "csv": "e3cb78e87b742e2c650304a1bce4bfaef61c36cc95a2f731091c4552199c4621",
         "breakdown": "a42605b6baa894e1522ba2a0155c91a8c07a60f0b3bacc0c45dbc7fe441e4f2d",
         "ranking": "8f12fd009c5577612c1c57b568cf488dd267298a032ae3221bb497e9ca086fc4",
     },

@@ -13,8 +13,8 @@ import tracemalloc
 from repro.config import ExperimentConfig
 from repro.core.runner import ExperimentRunner
 
-#: Retained bytes per span the tracer may add. Columns need about 45;
-#: one object plus attrs dict per span needed about 245.
+#: Retained bytes per span the tracer may add. List columns need about
+#: 65; one object plus attrs dict per span needed about 245.
 BYTES_PER_SPAN = 120
 
 CONFIG = ExperimentConfig(

@@ -47,6 +47,7 @@ def test_breakdown_tiles_root_for_arbitrary_layouts(segments, root_length):
             ctx, "stage", start=offset, end=offset + length, parent=parent
         )
     tracer.close_root(ctx, end_time=root_length)
+    env.run(until=200.0)  # past every start and end drawn above
     breakdown = record_breakdown(tracer, 0)
     assert math.isclose(
         sum(breakdown.values()), root_length, rel_tol=1e-9, abs_tol=1e-9

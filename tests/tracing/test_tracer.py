@@ -38,6 +38,7 @@ def test_root_span_opens_at_creation_time():
     tracer = Tracer(env)
     ctx = tracer.make_context(0, created_at=1.5)
     assert ctx == TraceContext(trace_id=0)
+    advance(env, 1.5)
     root = tracer.root(0)
     assert root.name == "record"
     assert root.start == 1.5
@@ -85,8 +86,6 @@ def test_unsampled_subjects_are_noops():
     assert tracer.begin(batch, "stage") is None
     tracer.end(None)  # None-safe
     assert tracer.record(batch, "stage", start=0.0) is None
-    tracer.mark(batch, "key")
-    assert tracer.lapse(batch, "wait", "key") is None
     assert tracer.span_count == 0
 
 
@@ -98,25 +97,13 @@ def test_record_rejects_negative_duration():
         tracer.record(batch, "stage", start=5.0, end=1.0)
 
 
-def test_mark_lapse_measures_queue_wait():
-    env = Environment()
-    tracer = Tracer(env)
-    batch = make_batch(tracer)
-    tracer.mark(batch, "enqueue")
-    advance(env, 0.75)
-    span = tracer.span(tracer.lapse(batch, "queue_wait", "enqueue"))
-    assert span.start == 0.0
-    assert span.end == 0.75
-    # The mark is consumed: a second lapse finds nothing.
-    assert tracer.lapse(batch, "queue_wait", "enqueue") is None
-
-
 def test_close_root_is_idempotent():
     env = Environment()
     tracer = Tracer(env)
     batch = make_batch(tracer)
     tracer.close_root(batch, end_time=3.0)
     tracer.close_root(batch, end_time=9.0)  # at-least-once replay
+    advance(env, 9.0)
     assert tracer.root(0).end == 3.0
     assert tracer.finished_trace_ids() == (0,)
 
@@ -174,7 +161,6 @@ def test_null_tracer_is_fully_inert():
     assert tracer.make_context(0, 0.0) is None
     assert tracer.begin(object(), "x") is None
     assert tracer.record(object(), "x", start=0.0) is None
-    assert tracer.lapse(object(), "x", "k") is None
     assert tracer.trace_ids() == ()
 
 
