@@ -16,9 +16,9 @@ invariant four ways:
   ``crayfish verify-order``) that re-runs an experiment unperturbed and
   then under seeded permutations of event-tie pop order, byte-diffing
   the results/metrics/trace exports against a baseline run;
-- a **simulated-concurrency race detector** spanning a static pass over
-  the process graph (:mod:`repro.analysis.races`) and a dynamic
-  tie-class access tracker (:mod:`repro.analysis.tierace`).
+- a dynamic **tie tracker** (:mod:`repro.analysis.tierace`) that names
+  the conflicting same-tie-class state accesses behind a diverging
+  permutation (``tie-race`` findings).
 
 Deliberate exceptions are suppressed in-source with pragmas::
 
@@ -36,7 +36,6 @@ from repro.analysis.core import (
     lint_source,
 )
 from repro.analysis.order import OrderVerdict, verify_order
-from repro.analysis.races import ProcessGraph
 from repro.analysis.rules import all_rules
 from repro.analysis.sanitizer import DeterminismViolation, determinism_sanitizer
 from repro.analysis.tierace import TieConflict, TieTracker
@@ -47,7 +46,6 @@ __all__ = [
     "Finding",
     "OrderVerdict",
     "Pragma",
-    "ProcessGraph",
     "TieConflict",
     "TieTracker",
     "all_rules",

@@ -33,13 +33,13 @@ import pathlib
 import sys
 import typing
 
-from repro.analysis.core import Finding
+from repro.analysis.core import Finding, ModuleContext, Rule, register
 from repro.analysis.pragmas import match_pragma, parse_pragmas
 from repro.simul.core import kernel_overrides
 from repro.simul.resources import Resource, Store
 
-#: Rule name tie conflicts report under (registered as a dynamic
-#: pseudo-rule in repro.analysis.races so pragmas validate).
+#: Rule name tie conflicts report under (registered as the dynamic
+#: pseudo-rule :class:`TieRaceRule` below so pragmas validate).
 TIE_RACE_RULE = "tie-race"
 
 #: Frames inside these path fragments are kernel plumbing, not the
@@ -372,3 +372,24 @@ def track_ties(tracker: typing.Any = None) -> typing.Iterator[typing.Any]:
     finally:
         for cls, name, method in originals:
             setattr(cls, name, method)
+
+
+@register
+class TieRaceRule(Rule):
+    """Placeholder for the tie tracker's findings in the lint catalogue.
+
+    The rule itself finds nothing statically; it exists so that
+    ``# crayfish: allow[tie-race]: reason`` pragmas parse, validate, and
+    appear in the suppression inventory, and so :class:`TieConflict`
+    findings flow through the same machinery as static ones.
+    """
+
+    name = TIE_RACE_RULE
+    description = (
+        "dynamic: conflicting same-tie-class state accesses recorded by "
+        "the tie tracker (crayfish verify-order reruns it on a divergence)"
+    )
+    dynamic = True
+
+    def check(self, module: ModuleContext) -> typing.Iterator[Finding]:
+        return iter(())

@@ -133,23 +133,6 @@ def save_records_jsonl(records: typing.Sequence[dict], path: str) -> None:
             handle.write("\n")
 
 
-def load_records_jsonl(path: str) -> list[dict]:
-    """Read a JSONL export back as a list of record dictionaries."""
-    records = []
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError(
-                    f"{path!r} line {line_number} is not a result record"
-                )
-            records.append(record)
-    return records
-
-
 def save_results_csv(
     results: typing.Sequence[ExperimentResult], path: str
 ) -> None:

@@ -1,84 +1,17 @@
-"""Planted concurrency hazards — the race detector's self-test target.
+"""Planted tie-class race: the dynamic tie tracker's self-test target.
 
-Every construct in this file violates one race rule ON PURPOSE; the
-analysis test suite and the CI ``race-gate`` job assert that the static
-pass and the dynamic tie tracker both flag it. DO NOT "fix" anything
-here and DO NOT add suppression pragmas — a clean lint of this file
-means the detector is broken, not the fixture.
-
-The dynamic half (:func:`run_tie_race`) is executable: two processes
-with no happens-before edge hit a capacity-1 store in the same
+:func:`run_tie_race` is a race ON PURPOSE: two processes with no
+happens-before edge hit a capacity-1 store in the same
 ``(time, priority)`` tie class, so which one lands its item is decided
-by pop order alone.
+by pop order alone. The analysis tests and the CI ``determinism`` job
+assert that the tracker reports it. DO NOT "fix" it and DO NOT add
+suppression pragmas: a silent tracker here means the tracker is broken,
+not the fixture. :func:`run_clean` is the control scenario the tracker
+must stay silent on.
 """
 
 from repro.simul.core import Environment
 from repro.simul.resources import Resource, Store
-
-
-# -- race-request-leak: slot never released ---------------------------------
-
-
-def leaky_never(env, gpu):
-    slot = gpu.request()
-    yield slot
-    yield env.timeout(1.0)
-    # process ends still holding the slot: capacity leaks forever
-
-
-# -- race-request-leak: released on the happy path only ---------------------
-
-
-def leaky_happy_path(env, gpu):
-    slot = gpu.request()
-    yield slot
-    yield env.timeout(1.0)  # an interrupt here leaks the slot
-    gpu.release(slot)
-
-
-# -- race-shared-condition: waiting on a shared long-lived event ------------
-
-
-def impatient_waiter(hub, env):
-    # hub.ready outlives this wait; the condition callback stays attached
-    yield env.any_of([hub.ready, env.timeout(0.5)])
-
-
-# -- race-shared-state: two concurrent writers, different values ------------
-
-
-class PlantedStateRace:
-    def __init__(self, env):
-        self.env = env
-        self.mode = "idle"
-
-    def start(self):
-        self.env.process(self._writer_a())
-        self.env.process(self._writer_b())
-
-    def _writer_a(self):
-        yield self.env.timeout(1.0)
-        self.mode = "a"
-
-    def _writer_b(self):
-        yield self.env.timeout(1.0)
-        self.mode = "b"  # survivor decided by tie pop order
-
-
-# -- race-zero-timeout: insertion-order handoff -----------------------------
-
-
-def zero_yielder(env):
-    yield env.timeout(0)  # "let others run" — really "let seq order pick"
-    return env.now
-
-
-# -- unsorted-iteration (.values() blind spot): spawn order from a dict -----
-
-
-def spawn_fleet(env, workers):
-    for worker in workers.values():
-        env.process(worker)
 
 
 # -- dynamic planted race: same-tick cross-root store conflict --------------

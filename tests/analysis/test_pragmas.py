@@ -103,7 +103,7 @@ def test_unused_pragma_is_a_finding():
 def test_unused_pragma_for_unselected_rule_is_left_alone():
     # Under --select the unselected rules never run, so their pragmas
     # cannot be proven dead and must not be reported as suppressing
-    # nothing (the CI race-gate lints src/ with only the race rules).
+    # nothing.
     from repro.analysis.core import make_rules
 
     report = lint_source(
@@ -113,7 +113,7 @@ def test_unused_pragma_for_unselected_rule_is_left_alone():
             t = time.time()  # crayfish: allow[wall-clock]: CLI boundary timestamp
         """),
         path="fixture.py",
-        rules=make_rules(["race-zero-timeout", "unsorted-iteration"]),
+        rules=make_rules(["mutable-default", "unsorted-iteration"]),
     )
     assert report.findings == ()
 
@@ -158,3 +158,25 @@ def test_parse_pragma_fields():
     assert line_pragma.reason == "two rules"
     assert line_pragma.standalone is False
     assert line_pragma.target_line == 2
+
+
+# -- tie-race pseudo-rule ----------------------------------------------------
+
+
+def test_tie_race_pragma_not_flagged_as_dead():
+    """tie-race is dynamic: its pragmas legitimately suppress nothing
+    during a static lint and must not trip dead-pragma hygiene."""
+    report = lint_source(
+        "x = 1  # crayfish: allow[tie-race]: known benign tick overlap\n",
+        "sample.py",
+    )
+    assert report.clean
+
+
+def test_static_pragma_still_flagged_as_dead():
+    report = lint_source(
+        "x = 1  # crayfish: allow[wall-clock]: stale excuse\n",
+        "sample.py",
+    )
+    assert [f.rule for f in report.findings] == ["pragma"]
+    assert "suppresses nothing" in report.findings[0].message

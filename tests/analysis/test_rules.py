@@ -441,11 +441,7 @@ def test_all_rules_registered():
         "blocking-io",
         "mutable-default",
         "silent-except",
-        # concurrency-race catalogue (repro.analysis.races)
-        "race-request-leak",
-        "race-shared-condition",
-        "race-shared-state",
-        "race-zero-timeout",
+        # dynamic pseudo-rule (repro.analysis.tierace)
         "tie-race",
     }
 
