@@ -30,55 +30,109 @@ import sys
 import typing
 
 from repro import calibration  # noqa: F401 - ensures constants import cleanly
-from repro.config import (
-    ExperimentConfig,
-    MODEL_NAMES,
-    SERVING_TOOLS,
-    SPS_NAMES,
-    WorkloadKind,
-)
+from repro import knobs
+from repro.cluster.spec import ClusterSpec, FlashCrowd, PopulationSpec
+from repro.config import ExperimentConfig, SERVING_TOOLS, SPS_NAMES, WorkloadKind
 from repro.core.report import format_ms, format_rate, format_table
 from repro.core.runner import ExperimentRunner
 from repro.errors import ConfigError
+from repro.nn.zoo.registry import available_models
+
+
+#: The system-under-test knobs ``run``, ``sweep`` and ``cluster
+#: capacity-search`` map onto flags.
+_SUT = (
+    "sps", "serving", "model", "bsz", "mp", "gpu", "seed", "duration",
+    "async_io", "server_workers",
+)
+
+
+def _cli_knobs(cls: type) -> dict[str, knobs.Knob]:
+    """The knobs of ``cls`` the CLI maps one-to-one: those with help."""
+    return {
+        name: spec for name, spec in knobs.of(cls).items() if spec.domain.help
+    }
+
+
+def _in_domain(spec: knobs.Knob) -> typing.Callable[[str], typing.Any]:
+    """An argparse ``type=`` that checks ``spec``'s domain as it parses.
+
+    A value outside it fails at parse time: argparse names the flag,
+    echoes the value and exits 2.
+    """
+
+    def parse(text: str) -> typing.Any:
+        try:
+            value = spec.kind(text)
+            spec.check(value)
+        except (ValueError, ConfigError):
+            raise argparse.ArgumentTypeError(
+                f"wants {spec.describe()}, got {text!r}"
+            ) from None
+        return value
+
+    return parse
+
+
+#: Seeds are checked as they are parsed, because ``--seeds`` lists reach
+#: the runner without passing through a config; ``--seed`` and the
+#: ``--permutations`` count (the same domain) share the check.
+_seed_arg = _in_domain(knobs.of(ExperimentConfig)["seed"])
+
+
+def _add_knob_args(
+    parser, cls: type, names: typing.Sequence[str] | None = None
+) -> None:
+    """One ``--field-name`` flag per named knob of ``cls`` (default: all
+    it maps).
+
+    Default, choices and help come from the field's declaration; a
+    command whose default differs sets it with ``parser.set_defaults``.
+    Values are checked when the config is built.
+    """
+    specs = _cli_knobs(cls)
+    for name in names or specs:
+        spec = specs[name]
+        flag = "--" + name.replace("_", "-")
+        if spec.kind is bool:
+            parser.add_argument(flag, action="store_true", help=spec.domain.help)
+            continue
+        kind, default, choices = spec.kind, spec.default, spec.choices()
+        if spec.is_enum:  # the flag takes values; _fields makes members
+            kind, default, choices = str, default.value, [c.value for c in choices]
+        parser.add_argument(
+            flag,
+            type=_seed_arg if name == "seed" else kind,
+            default=default,
+            choices=choices,
+            help=spec.domain.help,
+        )
+
+
+def _fields(args: argparse.Namespace, cls: type) -> dict[str, typing.Any]:
+    """The values ``args`` holds for ``cls``'s flags.
+
+    A flag the command lacks, or one left at None, keeps the field's
+    default; enum values become members.
+    """
+    return {
+        name: spec.read(getattr(args, name))
+        for name, spec in _cli_knobs(cls).items()
+        if getattr(args, name, None) is not None
+    }
 
 
 def _add_sut_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sps", default="flink", choices=SPS_NAMES)
-    parser.add_argument("--serving", default="onnx", choices=SERVING_TOOLS)
-    parser.add_argument("--model", default="ffnn", choices=MODEL_NAMES)
-    parser.add_argument("--bsz", type=int, default=1, help="points per event")
-    parser.add_argument("--mp", type=int, default=1, help="inference workers")
-    parser.add_argument("--gpu", action="store_true", help="enable the GPU model")
-    parser.add_argument("--seed", type=_non_negative_int, default=0)
-    parser.add_argument("--duration", type=float, default=5.0, help="simulated seconds")
-    parser.add_argument(
-        "--async-io", type=int, default=0, dest="async_io",
-        help="Flink async I/O in-flight window for external calls (0=blocking)",
-    )
-    parser.add_argument(
-        "--server-workers", type=int, default=None, dest="server_workers",
-        help="external server workers (default: = mp)",
-    )
+    _add_knob_args(parser, ExperimentConfig, _SUT)
     parser.add_argument(
         "--json", default=None, dest="json_path",
         help="also write the result(s) as JSON to this path",
     )
+    parser.set_defaults(duration=5.0)
 
 
 def _config_from(args: argparse.Namespace, **extra: typing.Any) -> ExperimentConfig:
-    return ExperimentConfig(
-        sps=args.sps,
-        serving=args.serving,
-        model=args.model,
-        bsz=args.bsz,
-        mp=args.mp,
-        gpu=args.gpu,
-        seed=args.seed,
-        duration=args.duration,
-        async_io=args.async_io,
-        server_workers=args.server_workers,
-        **extra,
-    )
+    return ExperimentConfig(**{**_fields(args, ExperimentConfig), **extra})
 
 
 def _separated(
@@ -104,19 +158,6 @@ def _separated(
         raise argparse.ArgumentTypeError(f"wants {spec}, got {text!r}")
 
     return parse
-
-
-def _non_negative_int(text: str) -> int:
-    """An argparse ``type=`` for a count that may be zero."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"wants an integer >= 0, got {text!r}"
-        )
-    return value
 
 
 def _export_artifact(
@@ -399,7 +440,7 @@ def _record_results(store, results, kind: str) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.matrix import run_matrix
 
-    base = _config_from(args, ir=args.ir)
+    base = _config_from(args)
     rows = []
 
     def progress(overrides, results):
@@ -600,71 +641,17 @@ def _fault_fields(args: argparse.Namespace) -> dict[str, typing.Any]:
     return fields
 
 
-def _add_cluster_shape_args(parser, nodes: int) -> None:
+def _add_cluster_shape_args(parser) -> None:
     """Deployment-shape knobs shared by ``run``/``capacity-search``."""
-    parser.add_argument(
-        "--nodes", type=int, default=nodes,
-        help="simulated machines in the cluster (0: no cluster layer)",
-    )
-    parser.add_argument(
-        "--racks", type=int, default=1,
-        help="racks the nodes spread over (cross-rack hops pay LAN latency)",
-    )
-    parser.add_argument(
-        "--cpus-per-node", type=int, default=16, dest="cpus_per_node",
-        help="CPU slots per machine (placement refuses to oversubscribe)",
-    )
-    parser.add_argument(
-        "--tasks-per-node", type=int, default=None, dest="tasks_per_node",
-        help="SPS task slots per node (default: = mp)",
-    )
-    parser.add_argument(
-        "--replicas-per-node", type=int, default=1, dest="replicas_per_node",
-        help="external serving replicas per node (behind the load balancer)",
-    )
-    parser.add_argument(
-        "--partitions", type=int, default=None,
-        help="broker partitions (default: enough for every task slot)",
-    )
+    _add_knob_args(parser, ClusterSpec)
+    _add_knob_args(parser, ExperimentConfig, ("partitions",))
+    parser.set_defaults(partitions=None)
 
 
 def _add_population_args(parser: argparse.ArgumentParser) -> None:
     """Population-workload knobs for ``run``."""
-    parser.add_argument(
-        "--users", type=int, default=0,
-        help="simulated population size; 0 keeps the plain --ir workload",
-    )
-    parser.add_argument(
-        "--distribution", default="zipf", choices=("zipf", "lognormal"),
-        help="per-user rate distribution",
-    )
-    parser.add_argument(
-        "--zipf-exponent", type=float, default=1.1, dest="zipf_exponent",
-        help="power-law exponent for the zipf distribution",
-    )
-    parser.add_argument(
-        "--sigma", type=float, default=1.0,
-        help="log-scale dispersion for the lognormal distribution",
-    )
-    parser.add_argument(
-        "--events-per-user-per-day", type=float, default=50.0,
-        dest="events_per_user_per_day",
-        help="mean events per user per simulated day",
-    )
-    parser.add_argument(
-        "--diurnal-amplitude", type=float, default=0.3,
-        dest="diurnal_amplitude",
-        help="diurnal swing in [0, 1): 0 is flat",
-    )
-    parser.add_argument(
-        "--diurnal-period", type=float, default=86_400.0,
-        dest="diurnal_period",
-        help="diurnal period in simulated seconds (compress for short runs)",
-    )
-    parser.add_argument(
-        "--rate-scale", type=float, default=1.0, dest="rate_scale",
-        help="multiplier on the aggregate offered rate",
-    )
+    _add_knob_args(parser, PopulationSpec)
+    parser.set_defaults(users=0)
     parser.add_argument(
         "--flash-crowd", action="append", default=[], dest="flash_crowds",
         metavar="AT:DURATION:MULTIPLIER",
@@ -673,52 +660,34 @@ def _add_population_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _population_from_args(args: argparse.Namespace):
-    from repro.cluster.spec import FlashCrowd, PopulationSpec
-
-    if args.users <= 0:
+def _population_from_args(args: argparse.Namespace) -> PopulationSpec | None:
+    """The population ``--users N`` sets; None when N is 0."""
+    if not args.users:
         return None
     crowds = [
         FlashCrowd(at=at, duration=duration, multiplier=multiplier)
         for at, duration, multiplier in args.flash_crowds
     ]
     return PopulationSpec(
-        users=args.users,
-        distribution=args.distribution,
-        zipf_exponent=args.zipf_exponent,
-        sigma=args.sigma,
-        events_per_user_per_day=args.events_per_user_per_day,
-        diurnal_amplitude=args.diurnal_amplitude,
-        diurnal_period=args.diurnal_period,
+        **_fields(args, PopulationSpec),
         flash_crowds=tuple(sorted(crowds, key=lambda c: c.at)),
-        rate_scale=args.rate_scale,
     )
-
-
-#: Cluster-shape flags; commands without them (``verify-order``) get the
-#: :class:`~repro.cluster.spec.ClusterSpec` defaults.
-_SHAPE_FLAGS = ("racks", "cpus_per_node", "tasks_per_node", "replicas_per_node")
 
 
 def _cluster_fields(args: argparse.Namespace) -> dict[str, typing.Any]:
     """The config fields ``--nodes N`` sets; none when N is 0.
 
-    Partitions default to at least one per source task slot.
+    Without ``--partitions``, partitions default to at least one per
+    source task slot.
     """
-    from repro.cluster.spec import ClusterSpec
-
-    if args.nodes <= 0:
+    if not args.nodes:
         return {}
-    shape = {name: getattr(args, name, None) for name in _SHAPE_FLAGS}
-    spec = ClusterSpec(
-        nodes=args.nodes,
-        **{name: value for name, value in shape.items() if value is not None},
-    )
-    partitions = getattr(args, "partitions", None)
-    if partitions is None:
+    spec = ClusterSpec(**_fields(args, ClusterSpec))
+    fields: dict[str, typing.Any] = {"cluster": spec, "use_broker": True}
+    if getattr(args, "partitions", None) is None:
         per_node = spec.tasks_per_node if spec.tasks_per_node else args.mp
-        partitions = max(32, per_node * spec.nodes)
-    return {"cluster": spec, "use_broker": True, "partitions": partitions}
+        fields["partitions"] = max(32, per_node * spec.nodes)
+    return fields
 
 
 def _run_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -732,12 +701,9 @@ def _run_config(args: argparse.Namespace) -> ExperimentConfig:
         if getattr(args, flag) and not getattr(args, needed):
             raise ConfigError(f"--{flag.replace('_', '-')} needs --{needed}")
     fields = _cluster_fields(args)
-    fields.update(workload=WorkloadKind(args.workload), bd=args.bd, tbb=args.tbb)
     population = _population_from_args(args)
     if population is not None:
-        fields["population"] = population  # --ir is ignored
-    else:
-        fields["ir"] = args.ir
+        fields.update(population=population, ir=None)  # --ir is ignored
     if args.fault:
         fields.update(_fault_fields(args))
     return _config_from(args, **fields)
@@ -762,7 +728,7 @@ def _cmd_cluster_capacity(args: argparse.Namespace) -> int:
             f"sustainable after {len(result.probes)} probes"
         )
 
-    config = _config_from(args, ir=None, **_cluster_fields(args))
+    config = _config_from(args, **_cluster_fields(args))
     with _cache_store(args) as store:
         curve = capacity_curve(
             config,
@@ -885,17 +851,7 @@ def _check_suppressions(target: str, paths, reports) -> int:
 def _cmd_verify_order(args: argparse.Namespace) -> int:
     from repro.analysis.order import verify_order
 
-    config = ExperimentConfig(
-        sps=SPS_NAMES[0],
-        serving=args.serving,
-        model=args.model,
-        bsz=args.bsz,
-        mp=args.mp,
-        seed=args.seed,
-        duration=args.duration,
-        ir=args.ir,
-        **_cluster_fields(args),
-    )
+    config = _config_from(args, sps=SPS_NAMES[0], **_cluster_fields(args))
     engines = SPS_NAMES if args.sps == "all" else (args.sps,)
     verdicts = verify_order(config, engines=engines, permutations=args.permutations)
     rows = []
@@ -997,7 +953,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print(format_table(["kind", "names"], [
         ("stream processors", ", ".join(SPS_NAMES)),
         ("serving tools", ", ".join(SERVING_TOOLS)),
-        ("models", ", ".join(MODEL_NAMES)),
+        ("models", ", ".join(available_models())),
     ]))
     return 0
 
@@ -1016,25 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scraped, faulted or clustered",
     )
     _add_sut_args(run_cmd)
-    run_cmd.add_argument(
-        "--ir", type=float, default=None,
-        help="input rate (events/s); omit to saturate an open loop",
-    )
-    run_cmd.add_argument(
-        "--workload", default=WorkloadKind.OPEN_LOOP.value,
-        choices=[kind.value for kind in WorkloadKind],
-        help="§4.1 scenario: closed_loop and periodic_bursts need --ir "
-        "(periodic_bursts: 110%% of it in bursts, 70%% between)",
-    )
-    run_cmd.add_argument(
-        "--bd", type=float, default=ExperimentConfig.bd,
-        help="periodic_bursts: burst duration (s, default %(default)s)",
-    )
-    run_cmd.add_argument(
-        "--tbb", type=float, default=ExperimentConfig.tbb,
-        help="periodic_bursts: time between bursts (s, default %(default)s); "
-        "bursts starting at least tbb/2 before --duration ends are analysed",
-    )
+    _add_knob_args(run_cmd, ExperimentConfig, ("ir", "workload", "bd", "tbb"))
     tracing = run_cmd.add_argument_group("tracing (on with --trace)")
     tracing.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -1068,18 +1006,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_args(run_cmd.add_argument_group("faults (on with --fault)"))
     cluster = run_cmd.add_argument_group("cluster (on with --nodes)")
-    _add_cluster_shape_args(cluster, nodes=0)
+    _add_cluster_shape_args(cluster)
     _add_population_args(cluster)
     cluster.add_argument(
         "--placement", action="store_true",
         help="also print the node placement plan",
     )
     _add_store_args(run_cmd)
-    run_cmd.set_defaults(func=_cmd_run)
+    run_cmd.set_defaults(func=_cmd_run, nodes=0)
 
     sweep_cmd = commands.add_parser("sweep", help="sweep one config field")
     _add_sut_args(sweep_cmd)
-    sweep_cmd.add_argument("--ir", type=float, default=None)
+    _add_knob_args(sweep_cmd, ExperimentConfig, ("ir",))
     sweep_cmd.add_argument("--field", default="mp", help="config field to sweep")
     sweep_cmd.add_argument(
         "--values", default="1,2,4,8,16", type=_separated(int, "INT[,INT...]"),
@@ -1106,7 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="describe the available presets and exit",
     )
     matrix_cmd.add_argument(
-        "--seeds", default=None, type=_separated(_non_negative_int, "SEED[,SEED...]"),
+        "--seeds", default=None, type=_separated(_seed_arg, "SEED[,SEED...]"),
         help="comma-separated seed list overriding the preset's seeds",
     )
     matrix_cmd.add_argument(
@@ -1142,7 +1080,7 @@ def build_parser() -> argparse.ArgumentParser:
         "against an SLO (Theodolite-style)",
     )
     _add_sut_args(cluster_cap)
-    _add_cluster_shape_args(cluster_cap, nodes=2)
+    _add_cluster_shape_args(cluster_cap)
     cluster_cap.add_argument(
         "--node-counts", default="1,2,4", dest="node_counts",
         type=_separated(int, "N[,N...]"),
@@ -1169,7 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe budget per deployment size",
     )
     cluster_cap.add_argument(
-        "--seeds", default="0,1", type=_separated(_non_negative_int, "SEED[,SEED...]"),
+        "--seeds", default="0,1", type=_separated(_seed_arg, "SEED[,SEED...]"),
         help="comma-separated seeds averaged per probe",
     )
     cluster_cap.add_argument(
@@ -1234,28 +1172,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--sps", default="all", choices=SPS_NAMES + ("all",),
         help="engine to check, or all four",
     )
-    order_cmd.add_argument("--serving", default="onnx", choices=SERVING_TOOLS)
-    order_cmd.add_argument("--model", default="ffnn", choices=MODEL_NAMES)
-    order_cmd.add_argument("--bsz", type=int, default=1)
-    order_cmd.add_argument("--mp", type=int, default=1)
-    order_cmd.add_argument("--seed", type=_non_negative_int, default=0)
-    order_cmd.add_argument(
-        "--ir", type=float, default=50.0, help="input rate (events/s)"
+    _add_knob_args(
+        order_cmd,
+        ExperimentConfig,
+        ("serving", "model", "bsz", "mp", "seed", "ir", "duration"),
     )
+    _add_knob_args(order_cmd, ClusterSpec, ("nodes",))
     order_cmd.add_argument(
-        "--duration", type=float, default=2.0, help="simulated seconds"
-    )
-    order_cmd.add_argument(
-        "--nodes", type=int, default=0,
-        help="also cluster the scenario over this many simulated nodes "
-        "(0 = single-node, no cluster layer)",
-    )
-    order_cmd.add_argument(
-        "--permutations", type=_non_negative_int, default=3,
+        "--permutations", type=_seed_arg, default=3,
         help="seeded tie-permutation runs per engine after the unperturbed "
         "repeat (0: the dual-run determinism check alone)",
     )
-    order_cmd.set_defaults(func=_cmd_verify_order)
+    order_cmd.set_defaults(func=_cmd_verify_order, ir=50.0, duration=2.0, nodes=0)
 
     store_cmd = commands.add_parser(
         "store", help="results database maintenance (info)"

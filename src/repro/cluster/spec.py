@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro import knobs
 from repro.errors import ConfigError
+from repro.knobs import knob
 
 #: Supported per-user rate distributions for population workloads.
 DISTRIBUTIONS = ("zipf", "lognormal")
 
 
+@knobs.declared
 @dataclasses.dataclass(frozen=True)
 class ClusterSpec:
     """Shape of one simulated multi-node deployment.
@@ -31,60 +34,46 @@ class ClusterSpec:
     """
 
     #: Simulated machines in the cluster.
-    nodes: int = 2
+    nodes: int = knob(
+        2, ge=1, le=1024,
+        help="simulated machines in the cluster (0: no cluster layer)",
+    )
     #: CPU slots per machine; placement refuses to oversubscribe them.
-    cpus_per_node: int = 16
+    cpus_per_node: int = knob(
+        16, ge=1, help="CPU slots per machine (placement refuses to oversubscribe)"
+    )
     #: Racks the nodes spread over (round-robin). Nodes in one rack talk
     #: over the rack link; nodes in different racks pay the LAN link.
-    racks: int = 1
+    racks: int = knob(
+        1, ge=1,
+        help="racks the nodes spread over (cross-rack hops pay LAN latency)",
+    )
     #: SPS task slots placed per node. None derives it from the
     #: experiment's ``mp`` (total engine parallelism = mp × nodes).
-    tasks_per_node: int | None = None
+    tasks_per_node: int | None = knob(
+        None, ge=1, help="SPS task slots per node (default: = mp)"
+    )
     #: External-serving replicas placed per node (behind the simulated
     #: load balancer). Ignored for embedded serving.
-    replicas_per_node: int = 1
+    replicas_per_node: int = knob(
+        1, ge=1,
+        help="external serving replicas per node (behind the load balancer)",
+    )
     #: One-way base latency of an intra-rack hop (seconds). None uses
     #: the calibrated default (half the paper's LAN base latency).
-    rack_latency: float | None = None
+    rack_latency: float | None = knob(None, ge=0)
     #: One-way base latency of a cross-rack (LAN) hop (seconds). None
     #: uses the paper's calibrated LAN latency.
-    lan_latency: float | None = None
+    lan_latency: float | None = knob(None, ge=0)
     #: Link bandwidth in bytes/second shared by rack and LAN hops. None
     #: uses the paper's calibrated 1 Gbps-class LAN bandwidth.
-    bandwidth: float | None = None
+    bandwidth: float | None = knob(None, gt=0)
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ConfigError(f"cluster needs >= 1 node, got {self.nodes}")
-        if self.nodes > 1024:
-            raise ConfigError(
-                f"cluster caps at 1024 simulated nodes, got {self.nodes}"
-            )
-        if self.cpus_per_node < 1:
-            raise ConfigError(
-                f"cpus_per_node must be >= 1, got {self.cpus_per_node}"
-            )
-        if self.racks < 1:
-            raise ConfigError(f"racks must be >= 1, got {self.racks}")
+        knobs.check(self)
         if self.racks > self.nodes:
             raise ConfigError(
                 f"more racks ({self.racks}) than nodes ({self.nodes})"
-            )
-        if self.tasks_per_node is not None and self.tasks_per_node < 1:
-            raise ConfigError(
-                f"tasks_per_node must be >= 1, got {self.tasks_per_node}"
-            )
-        if self.replicas_per_node < 1:
-            raise ConfigError(
-                f"replicas_per_node must be >= 1, got {self.replicas_per_node}"
-            )
-        for name in ("rack_latency", "lan_latency"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ConfigError(f"{name} must be non-negative, got {value}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ConfigError(
-                f"bandwidth must be positive, got {self.bandwidth}"
             )
 
     def __str__(self) -> str:
@@ -93,31 +82,23 @@ class ClusterSpec:
         return f"{self.nodes}n{racks}"
 
 
+@knobs.declared
 @dataclasses.dataclass(frozen=True)
 class FlashCrowd:
     """One flash-crowd burst: offered load multiplies by ``multiplier``
     for ``duration`` seconds starting at ``at``."""
 
-    at: float
-    duration: float
-    multiplier: float
+    at: float = knob(ge=0)
+    duration: float = knob(gt=0)
+    multiplier: float = knob(gt=0)
 
-    def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ConfigError(f"flash crowd start must be >= 0, got {self.at}")
-        if self.duration <= 0:
-            raise ConfigError(
-                f"flash crowd duration must be positive, got {self.duration}"
-            )
-        if self.multiplier <= 0:
-            raise ConfigError(
-                f"flash crowd multiplier must be positive, got {self.multiplier}"
-            )
+    __post_init__ = knobs.check
 
     def active(self, time: float) -> bool:
         return self.at <= time < self.at + self.duration
 
 
+@knobs.declared
 @dataclasses.dataclass(frozen=True)
 class PopulationSpec:
     """A population-scale workload: millions of users, each with its own
@@ -127,66 +108,50 @@ class PopulationSpec:
 
     #: Simulated users. The generator is O(users) once per run (a NumPy
     #: draw), so millions are cheap.
-    users: int = 1_000_000
+    users: int = knob(
+        1_000_000, ge=1, le=100_000_000,
+        help="simulated population size; 0 keeps the plain --ir workload",
+    )
     #: Per-user rate distribution: "zipf" (rank-weighted power law) or
     #: "lognormal" (seeded multiplicative draws).
-    distribution: str = "zipf"
+    distribution: str = knob(
+        "zipf", choices=DISTRIBUTIONS, help="per-user rate distribution"
+    )
     #: Power-law exponent for the zipf distribution (> 1 concentrates
     #: traffic in the head).
-    zipf_exponent: float = 1.1
+    zipf_exponent: float = knob(
+        1.1, gt=1, help="power-law exponent for the zipf distribution"
+    )
     #: Log-scale dispersion for the lognormal distribution.
-    sigma: float = 1.0
+    sigma: float = knob(
+        1.0, ge=0, help="log-scale dispersion for the lognormal distribution"
+    )
     #: Mean events per user per simulated day; the aggregate offered
     #: rate is ``users * events_per_user_per_day / 86400 * rate_scale``.
-    events_per_user_per_day: float = 50.0
+    events_per_user_per_day: float = knob(
+        50.0, gt=0, help="mean events per user per simulated day"
+    )
     #: Relative amplitude of the diurnal cycle in [0, 1): 0 is flat,
     #: 0.5 swings offered load ±50% around the mean.
-    diurnal_amplitude: float = 0.3
+    diurnal_amplitude: float = knob(
+        0.3, ge=0, lt=1, help="diurnal swing in [0, 1): 0 is flat"
+    )
     #: Diurnal period in simulated seconds (86400 = one day; benchmarks
     #: compress it so a short run still sees peaks and troughs).
-    diurnal_period: float = 86_400.0
+    diurnal_period: float = knob(
+        86_400.0, gt=0,
+        help="diurnal period in simulated seconds (compress for short runs)",
+    )
     #: Flash-crowd bursts layered on top, in start-time order.
     flash_crowds: tuple[FlashCrowd, ...] = ()
     #: Multiplier on the aggregate offered rate. The capacity search
     #: scales a population workload through this knob.
-    rate_scale: float = 1.0
+    rate_scale: float = knob(
+        1.0, gt=0, help="multiplier on the aggregate offered rate"
+    )
 
     def __post_init__(self) -> None:
-        if self.users < 1:
-            raise ConfigError(f"population needs >= 1 user, got {self.users}")
-        if self.users > 100_000_000:
-            raise ConfigError(
-                f"population caps at 100M simulated users, got {self.users}"
-            )
-        if self.distribution not in DISTRIBUTIONS:
-            raise ConfigError(
-                f"unknown distribution {self.distribution!r}; expected one "
-                f"of {DISTRIBUTIONS}"
-            )
-        if self.zipf_exponent <= 1.0:
-            raise ConfigError(
-                f"zipf_exponent must be > 1, got {self.zipf_exponent}"
-            )
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
-        if self.events_per_user_per_day <= 0:
-            raise ConfigError(
-                "events_per_user_per_day must be positive, got "
-                f"{self.events_per_user_per_day}"
-            )
-        if not 0 <= self.diurnal_amplitude < 1:
-            raise ConfigError(
-                f"diurnal_amplitude must be in [0, 1), got "
-                f"{self.diurnal_amplitude}"
-            )
-        if self.diurnal_period <= 0:
-            raise ConfigError(
-                f"diurnal_period must be positive, got {self.diurnal_period}"
-            )
-        if self.rate_scale <= 0:
-            raise ConfigError(
-                f"rate_scale must be positive, got {self.rate_scale}"
-            )
+        knobs.check(self)
         starts = [crowd.at for crowd in self.flash_crowds]
         if starts != sorted(starts):
             raise ConfigError("flash_crowds must be sorted by start time")
@@ -205,21 +170,9 @@ class PopulationSpec:
 
 def cluster_spec_from_dict(record: dict) -> ClusterSpec:
     """Rebuild a :class:`ClusterSpec` from its canonical dict."""
-    known = {field.name for field in dataclasses.fields(ClusterSpec)}
-    unknown = sorted(set(record) - known)
-    if unknown:
-        raise ConfigError(f"unknown cluster field(s) in record: {unknown}")
-    return ClusterSpec(**record)
+    return knobs.from_dict(ClusterSpec, record)
 
 
 def population_spec_from_dict(record: dict) -> PopulationSpec:
     """Rebuild a :class:`PopulationSpec` from its canonical dict."""
-    known = {field.name for field in dataclasses.fields(PopulationSpec)}
-    unknown = sorted(set(record) - known)
-    if unknown:
-        raise ConfigError(f"unknown population field(s) in record: {unknown}")
-    data = dict(record)
-    data["flash_crowds"] = tuple(
-        FlashCrowd(**crowd) for crowd in data.get("flash_crowds", ())
-    )
-    return PopulationSpec(**data)
+    return knobs.from_dict(PopulationSpec, record)

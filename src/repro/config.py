@@ -13,21 +13,13 @@ import enum
 import json
 import typing
 
-from repro.cluster.spec import (
-    ClusterSpec,
-    PopulationSpec,
-    cluster_spec_from_dict,
-    population_spec_from_dict,
-)
+from repro import knobs
+from repro.cluster.spec import ClusterSpec, PopulationSpec
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, ResiliencePolicy
-from repro.faults.plan import (
-    NetworkDegradation,
-    PartitionOutage,
-    ServerCrash,
-    StragglerReplica,
-)
 from repro.faults.recovery import AT_LEAST_ONCE, EXACTLY_ONCE, GUARANTEES
+from repro.knobs import Domain, knob
+from repro.nn.zoo.registry import available_models
 
 
 class WorkloadKind(enum.Enum):
@@ -60,6 +52,11 @@ MODEL_NAMES = (
 )
 
 
+#: Wire APIs of the gRPC servers, and the tools that offer a choice.
+PROTOCOLS = ("grpc", "rest")
+PROTOCOL_TOOLS = ("tf_serving", "torchserve")
+
+
 def is_embedded(tool: str) -> bool:
     """True when ``tool`` is an embedded interoperability library."""
     if tool not in SERVING_TOOLS:
@@ -67,88 +64,119 @@ def is_embedded(tool: str) -> bool:
     return tool in EMBEDDED_TOOLS
 
 
+@knobs.declared
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """One benchmark configuration.
 
     Time units are seconds of *simulated* time; rates are events per
     simulated second. One event carries ``bsz`` data points (a
-    CrayfishDataBatch).
+    CrayfishDataBatch). Each field declares its domain once
+    (:mod:`repro.knobs`); ``__post_init__`` checks those and then the
+    rules that tie fields together.
     """
 
-    sps: str = "flink"
-    serving: str = "onnx"
-    model: str = "ffnn"
-    workload: WorkloadKind = WorkloadKind.OPEN_LOOP
+    sps: str = knob("flink", choices=SPS_NAMES, help="stream processor")
+    serving: str = knob("onnx", choices=SERVING_TOOLS, help="serving tool")
+    #: Any zoo model: the built-ins plus user registrations (§3.2: models
+    #: are user-configurable).
+    model: str = knob("ffnn", choices=available_models, help="zoo model")
+    workload: WorkloadKind = knob(
+        WorkloadKind.OPEN_LOOP,
+        help="§4.1 scenario: closed_loop and periodic_bursts need --ir "
+        "(periodic_bursts: 110%% of it in bursts, 70%% between)",
+    )
 
     #: Shape of one generated data point (``isz``); None = model default.
-    isz: tuple[int, ...] | None = None
+    isz: tuple[int, ...] | None = knob(None, items=Domain(ge=1))
     #: Data points per event (``bsz``).
-    bsz: int = 1
+    bsz: int = knob(1, ge=1, help="points per event")
     #: Constant input rate in events/s (``ir``). ``None`` means "as fast
     #: as the pipeline accepts" (used to measure sustainable throughput).
-    ir: float | None = None
+    ir: float | None = knob(
+        None, gt=0, help="input rate (events/s); omit to saturate an open loop"
+    )
     #: Burst duration in seconds (``bd``); bursty workloads only.
-    bd: float = 30.0
+    bd: float = knob(
+        30.0, gt=0,
+        help="periodic_bursts: burst duration (s, default %(default)s)",
+    )
     #: Time between bursts in seconds (``tbb``); bursty workloads only.
-    tbb: float = 120.0
+    tbb: float = knob(
+        120.0, gt=0,
+        help="periodic_bursts: time between bursts (s, default %(default)s); "
+        "bursts starting at least tbb/2 before --duration ends are analysed",
+    )
     #: Number of workers used for inference (``mp``).
-    mp: int = 1
+    mp: int = knob(1, ge=1, help="inference workers")
 
     #: Simulated duration of the measured run.
-    duration: float = 10.0
+    duration: float = knob(10.0, gt=0, help="simulated seconds")
     #: Fraction of leading measurements discarded as warm-up (paper: 25%).
-    warmup_fraction: float = 0.25
+    warmup_fraction: float = knob(0.25, ge=0, lt=1)
     #: Root RNG seed; the paper runs each experiment twice — use two seeds.
-    seed: int = 0
+    seed: int = knob(0, ge=0, help="root RNG seed")
     #: Enable the simulated GPU on the inference device.
-    gpu: bool = False
+    gpu: bool = knob(False, help="enable the GPU model")
     #: Flink only: operator-level parallelism ``[src, score, sink]``
     #: overriding default parallelism (paper's flink[32-N-32], Fig. 12).
     #: ``None`` uses default parallelism = ``mp`` with operator chaining.
-    operator_parallelism: tuple[int, int, int] | None = None
+    operator_parallelism: tuple[int, int, int] | None = knob(
+        None, items=Domain(ge=1)
+    )
     #: Bypass the Kafka broker and generate/collect in-process
     #: (the paper's standalone `no-kafka` pipeline, Fig. 13).
     use_broker: bool = True
     #: Kafka topic partition count (paper: 32 per topic).
-    partitions: int = 32
+    partitions: int = knob(
+        32, ge=1,
+        help="broker partitions per topic (default: 32; with --nodes, "
+        "enough for every task slot)",
+    )
     #: Flink only: in-flight window for asynchronous external calls. The
     #: paper disabled async I/O for fairness (§4.3); 0 reproduces that.
     #: Setting it > 0 enables the ablation of Flink's Async I/O operator.
-    async_io: int = 0
+    async_io: int = knob(
+        0, ge=0,
+        help="Flink async I/O in-flight window for external calls (0=blocking)",
+    )
     #: Flink only: count window in front of the scoring operator — §7.1's
     #: "Micro-batching Support for External Servers" recommendation,
     #: implemented. 0 scores event-at-a-time (the paper's configuration).
-    scoring_window: int = 0
+    scoring_window: int = knob(0, ge=0)
     #: External serving only: worker processes on the serving host. None
     #: follows the paper (= mp). Setting it explicitly enables the
     #: non-uniform resource-allocation study of §9 (future work).
-    server_workers: int | None = None
+    server_workers: int | None = knob(
+        None, ge=1, help="external server workers (default: = mp)"
+    )
     #: External serving only: autoscale the server's worker pool between
     #: ``(min_workers, max_workers)`` on queue depth (§1/§7.2 name
     #: autoscaling as a core external-serving capability). None keeps the
     #: paper's fixed worker counts.
-    autoscale: tuple[int, int] | None = None
+    autoscale: tuple[int, int] | None = knob(None, items=Domain(ge=1))
     #: External serving only: server-side adaptive batching as
     #: ``(max_size, max_delay_seconds)`` — the Clipper-style coalescing
     #: the related work contrasts with. None disables it (the paper's
     #: servers answer request-at-a-time).
-    adaptive_batching: tuple[int, float] | None = None
+    adaptive_batching: tuple[int, float] | None = knob(
+        None, items=(Domain(ge=2), Domain(gt=0))
+    )
     #: Enable checkpointing with this interval (seconds), on any engine
     #: (:class:`repro.faults.recovery.EngineRecovery`). ``None`` disables
     #: fault tolerance (the paper's configuration).
-    checkpoint_interval: float | None = None
+    checkpoint_interval: float | None = knob(None, gt=0)
     #: Sink guarantee under failures: "at_least_once" or "exactly_once"
     #: (§7.2's processing-guarantee discussion, made measurable);
     #: exactly-once is Flink-only.
-    delivery_guarantee: str = AT_LEAST_ONCE
+    delivery_guarantee: str = knob(AT_LEAST_ONCE, choices=GUARANTEES)
     #: Simulated times at which the whole job crashes (failure injection).
-    failure_times: tuple[float, ...] = ()
+    failure_times: tuple[float, ...] = knob((), items=Domain(gt=0))
     #: Downtime per failure: restart + state restore + model reload.
-    recovery_time: float = 0.5
+    recovery_time: float = knob(0.5, ge=0)
     #: TF-Serving/TorchServe wire API: None/"grpc" is the paper's choice;
     #: "rest" queries the JSON REST endpoint instead (§3.4.3).
-    protocol: str | None = None
+    protocol: str | None = knob(None, choices=PROTOCOLS)
     #: Chaos plan: seeded fault injection into broker/network/serving
     #: (:mod:`repro.faults`). None — the default — injects nothing and
     #: leaves the run byte-identical to a build without the subsystem.
@@ -168,106 +196,41 @@ class ExperimentConfig:
     population: PopulationSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.sps not in SPS_NAMES:
-            raise ConfigError(
-                f"unknown stream processor {self.sps!r}; expected one of {SPS_NAMES}"
-            )
-        if self.serving not in SERVING_TOOLS:
-            raise ConfigError(
-                f"unknown serving tool {self.serving!r}; expected one of {SERVING_TOOLS}"
-            )
-        # Accept any zoo model: the built-ins plus user registrations
-        # (§3.2: models are user-configurable). Imported lazily to keep
-        # config a leaf module.
-        from repro.nn.zoo.registry import available_models
-
-        if self.model not in available_models():
-            raise ConfigError(
-                f"unknown model {self.model!r}; expected one of "
-                f"{available_models()}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.bsz < 1:
-            raise ConfigError(f"bsz must be >= 1, got {self.bsz}")
-        if self.mp < 1:
-            raise ConfigError(f"mp must be >= 1, got {self.mp}")
-        if self.ir is not None and self.ir <= 0:
-            raise ConfigError(f"ir must be positive, got {self.ir}")
-        if self.duration <= 0:
-            raise ConfigError(f"duration must be positive, got {self.duration}")
-        if not 0 <= self.warmup_fraction < 1:
-            raise ConfigError(
-                f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
-            )
-        if self.bd <= 0 or self.tbb <= 0:
-            raise ConfigError("bd and tbb must be positive")
-        if self.partitions < 1:
-            raise ConfigError(f"partitions must be >= 1, got {self.partitions}")
-        if self.operator_parallelism is not None:
-            if self.sps != "flink":
-                raise ConfigError("operator_parallelism is Flink-only")
-            if len(self.operator_parallelism) != 3 or any(
-                p < 1 for p in self.operator_parallelism
-            ):
-                raise ConfigError(
-                    "operator_parallelism must be three positive integers"
-                )
+        knobs.check(self)
+        embedded = self.serving in EMBEDDED_TOOLS
+        if self.operator_parallelism is not None and self.sps != "flink":
+            raise ConfigError("operator_parallelism is Flink-only")
         if self.workload is WorkloadKind.PERIODIC_BURSTS and self.ir is None:
             raise ConfigError("periodic-burst workloads need a base input rate ir")
         if self.workload is WorkloadKind.CLOSED_LOOP and self.ir is None:
             raise ConfigError("closed-loop workloads need an input rate ir")
         if self.async_io:
-            if self.async_io < 0:
-                raise ConfigError(f"async_io must be >= 0, got {self.async_io}")
             if self.sps != "flink":
                 raise ConfigError("async_io is Flink-only")
-            if is_embedded(self.serving):
+            if embedded:
                 raise ConfigError("async_io only applies to external serving")
         if self.scoring_window:
-            if self.scoring_window < 0:
-                raise ConfigError(
-                    f"scoring_window must be >= 0, got {self.scoring_window}"
-                )
             if self.sps != "flink":
                 raise ConfigError("scoring_window is Flink-only")
             if self.async_io:
                 raise ConfigError("scoring_window and async_io do not combine")
-        if self.server_workers is not None:
-            if self.server_workers < 1:
-                raise ConfigError(
-                    f"server_workers must be >= 1, got {self.server_workers}"
-                )
-            if is_embedded(self.serving):
-                raise ConfigError("server_workers only applies to external serving")
+        if self.server_workers is not None and embedded:
+            raise ConfigError("server_workers only applies to external serving")
         if self.autoscale is not None:
-            if is_embedded(self.serving):
+            if embedded:
                 raise ConfigError("autoscale only applies to external serving")
             low, high = self.autoscale
-            if low < 1 or high < low:
+            if high < low:
                 raise ConfigError(
                     f"autoscale needs 1 <= min <= max, got {self.autoscale}"
                 )
             if self.server_workers is not None:
                 raise ConfigError("autoscale and server_workers are exclusive")
-        if self.adaptive_batching is not None:
-            if is_embedded(self.serving):
-                raise ConfigError("adaptive_batching only applies to external serving")
-            size, delay = self.adaptive_batching
-            if size < 2 or delay <= 0:
-                raise ConfigError(
-                    "adaptive_batching needs max_size >= 2 and max_delay > 0"
-                )
-        if self.protocol is not None:
-            if self.protocol not in ("grpc", "rest"):
-                raise ConfigError(f"unknown protocol {self.protocol!r}")
-            if self.serving not in ("tf_serving", "torchserve"):
-                raise ConfigError(
-                    "protocol selection applies to tf_serving/torchserve only"
-                )
-        if self.delivery_guarantee not in GUARANTEES:
+        if self.adaptive_batching is not None and embedded:
+            raise ConfigError("adaptive_batching only applies to external serving")
+        if self.protocol is not None and self.serving not in PROTOCOL_TOOLS:
             raise ConfigError(
-                f"unknown delivery guarantee {self.delivery_guarantee!r}"
+                "protocol selection applies to tf_serving/torchserve only"
             )
         if self.fault_tolerant:
             if self.delivery_guarantee == EXACTLY_ONCE and self.sps != "flink":
@@ -280,31 +243,18 @@ class ExperimentConfig:
                     "fault tolerance does not combine with operator_parallelism "
                     "or async_io"
                 )
-        # Written as ``not x > 0`` so that NaN fails here, not mid-run.
-        if self.checkpoint_interval is not None and not self.checkpoint_interval > 0:
-            raise ConfigError(
-                f"checkpoint_interval must be positive, got {self.checkpoint_interval}"
-            )
         if self.failure_times and self.checkpoint_interval is None:
             raise ConfigError("failure injection requires checkpoint_interval")
-        if not all(t > 0 for t in self.failure_times):
-            raise ConfigError(
-                f"failure times must be positive, got {self.failure_times}"
-            )
-        if not self.recovery_time >= 0:
-            raise ConfigError(
-                f"recovery_time must be non-negative, got {self.recovery_time}"
-            )
         if self.fault_plan is not None and not self.fault_plan.empty:
             plan = self.fault_plan
             if plan.partition_outages and not self.use_broker:
                 raise ConfigError("partition outages need the broker (use_broker)")
-            if plan.touches_serving and is_embedded(self.serving):
+            if plan.touches_serving and embedded:
                 raise ConfigError(
                     "server/network/straggler faults target external serving"
                 )
         if self.resilience is not None:
-            if is_embedded(self.serving):
+            if embedded:
                 raise ConfigError("resilience wraps external serving calls only")
             if (
                 self.resilience.fallback is not None
@@ -314,7 +264,6 @@ class ExperimentConfig:
                     f"resilience fallback must be an embedded tool "
                     f"{EMBEDDED_TOOLS}, got {self.resilience.fallback!r}"
                 )
-
         if self.cluster is not None:
             if not self.use_broker:
                 raise ConfigError(
@@ -416,60 +365,11 @@ def _canonical_value(value: typing.Any) -> typing.Any:
     return value
 
 
-#: Config fields whose values are tuples (JSON round-trips them as lists).
-_TUPLE_FIELDS = (
-    "isz",
-    "operator_parallelism",
-    "autoscale",
-    "adaptive_batching",
-    "failure_times",
-)
-
-
-def _fault_plan_from_dict(record: dict) -> FaultPlan:
-    return FaultPlan(
-        server_crashes=tuple(
-            ServerCrash(**crash) for crash in record.get("server_crashes", ())
-        ),
-        partition_outages=tuple(
-            PartitionOutage(**outage)
-            for outage in record.get("partition_outages", ())
-        ),
-        network_degradations=tuple(
-            NetworkDegradation(**degradation)
-            for degradation in record.get("network_degradations", ())
-        ),
-        stragglers=tuple(
-            StragglerReplica(**straggler)
-            for straggler in record.get("stragglers", ())
-        ),
-    )
-
-
 def config_from_dict(record: dict) -> ExperimentConfig:
     """Rebuild an :class:`ExperimentConfig` from its serialized dict.
 
     Inverse of :meth:`ExperimentConfig.canonical_dict` (and of the
-    ``config`` block written by :mod:`repro.core.results_io`): restores
-    the workload enum, tuple-valued fields, and nested fault-plan /
-    resilience dataclasses. Validation re-runs on construction.
+    ``config`` block written by :mod:`repro.core.results_io`); see
+    :func:`repro.knobs.from_dict`. Validation re-runs on construction.
     """
-    data = dict(record)
-    unknown = sorted(
-        set(data) - {field.name for field in dataclasses.fields(ExperimentConfig)}
-    )
-    if unknown:
-        raise ConfigError(f"unknown config field(s) in record: {unknown}")
-    data["workload"] = WorkloadKind(data["workload"])
-    for name in _TUPLE_FIELDS:
-        if data.get(name) is not None:
-            data[name] = tuple(data[name])
-    if data.get("fault_plan") is not None:
-        data["fault_plan"] = _fault_plan_from_dict(data["fault_plan"])
-    if data.get("resilience") is not None:
-        data["resilience"] = ResiliencePolicy(**data["resilience"])
-    if data.get("cluster") is not None:
-        data["cluster"] = cluster_spec_from_dict(data["cluster"])
-    if data.get("population") is not None:
-        data["population"] = population_spec_from_dict(data["population"])
-    return ExperimentConfig(**data)
+    return knobs.from_dict(ExperimentConfig, record)

@@ -460,22 +460,10 @@ class ExperimentRunner:
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    seed: int | None = None,
-    store: typing.Any = None,
-    store_kind: str = "run",
+    config: ExperimentConfig, seed: int | None = None
 ) -> ExperimentResult:
-    """Convenience wrapper: build a runner and execute once.
-
-    ``store`` (a :class:`repro.store.ResultStore`) records the finished
-    result. Recording happens strictly after the simulation completes —
-    the store never touches the event loop or RNG streams, so a recorded
-    run is indistinguishable from an unrecorded one.
-    """
-    result = ExperimentRunner(config).run(seed=seed)
-    if store is not None:
-        store.record_result(result, seed=seed, kind=store_kind)
-    return result
+    """Convenience wrapper: build a runner and execute once."""
+    return ExperimentRunner(config).run(seed=seed)
 
 
 def run_replicated(

@@ -1,10 +1,8 @@
-"""Parameter sweeps: run grids of configurations with replication.
+"""Grid points and their field names.
 
-:func:`sweep` is the stable front door; it delegates to the parallel
-experiment-matrix engine (:mod:`repro.matrix.engine`), so callers can
-opt into worker processes (``jobs``) and the results store as result
-cache (``store``) without changing shape: ordering, aggregates, and
-hook sequence are byte-identical to a serial, storeless run.
+Grids run through one front door, :func:`repro.matrix.run_matrix`; this
+module holds what it reports per point (:class:`SweepPoint`) and the
+up-front check of a grid's keys (:func:`validate_override_fields`).
 """
 
 from __future__ import annotations
@@ -51,39 +49,3 @@ def validate_override_fields(names: typing.Iterable[str]) -> None:
             f"fields are: {', '.join(sorted(valid))}"
         )
 
-
-def sweep(
-    base: ExperimentConfig,
-    grid: dict[str, typing.Sequence],
-    seeds: typing.Sequence[int] = (0, 1),
-    hook: typing.Callable[[dict, typing.Sequence[ExperimentResult]], None] | None = None,
-    jobs: int = 1,
-    store: typing.Any = None,
-) -> list[SweepPoint]:
-    """Run the cartesian product of ``grid`` over ``base``.
-
-    ``grid`` maps ExperimentConfig field names to value lists (names are
-    validated up front). Each point is replicated over ``seeds`` (the
-    paper runs everything twice). ``hook`` is called after each point in
-    grid order, e.g. for progress printing.
-
-    ``jobs`` > 1 fans the points × seeds out over worker processes;
-    ``store`` (a :class:`repro.store.ResultStore`) replays
-    already-computed runs instead of re-executing them and records the
-    rest as one ``sweep``. Both leave the returned points identical to a
-    serial, storeless run.
-    """
-    if not grid:
-        raise ValueError("empty sweep grid")
-    from repro.matrix.engine import run_matrix
-
-    report = run_matrix(
-        base,
-        grid,
-        seeds=seeds,
-        jobs=jobs,
-        hook=hook,
-        store=store,
-        store_kind="sweep",
-    )
-    return report.points

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro import knobs
 from repro.errors import ConfigError
+from repro.knobs import Domain, knob
 
 #: Logical topic roles a partition outage can target; the runner maps
 #: them onto the concrete topic names it created.
@@ -25,6 +27,7 @@ TOPIC_ROLES = ("input", "output")
 DEGRADATION_MODES = ("shed", "fallback", "raise")
 
 
+@knobs.declared
 @dataclasses.dataclass(frozen=True)
 class ServerCrash:
     """The external serving process dies and later restarts.
@@ -36,17 +39,14 @@ class ServerCrash:
     reloads its model (the reload is charged on top of the downtime).
     """
 
-    at: float
-    downtime: float = 0.5
+    at: float = knob(gt=0)
+    downtime: float = knob(0.5, ge=0)
     drop_queue: bool = True
 
-    def __post_init__(self) -> None:
-        if self.at <= 0:
-            raise ConfigError(f"fault time must be positive, got {self.at}")
-        if self.downtime < 0:
-            raise ConfigError(f"downtime must be non-negative, got {self.downtime}")
+    __post_init__ = knobs.check
 
 
+@knobs.declared
 @dataclasses.dataclass(frozen=True)
 class PartitionOutage:
     """Broker partitions become unavailable for a window.
@@ -57,25 +57,18 @@ class PartitionOutage:
     concrete topic name by the runner.
     """
 
-    at: float
-    duration: float
-    topic: str = "input"
-    partitions: tuple[int, ...] = (0,)
+    at: float = knob(gt=0)
+    duration: float = knob(gt=0)
+    topic: str = knob("input", choices=TOPIC_ROLES)
+    partitions: tuple[int, ...] = knob((0,), items=Domain(ge=0))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "partitions", tuple(self.partitions))
-        if self.at <= 0:
-            raise ConfigError(f"fault time must be positive, got {self.at}")
-        if self.duration <= 0:
-            raise ConfigError(f"outage duration must be positive, got {self.duration}")
-        if self.topic not in TOPIC_ROLES:
-            raise ConfigError(
-                f"outage topic must be one of {TOPIC_ROLES}, got {self.topic!r}"
-            )
-        if not self.partitions or any(p < 0 for p in self.partitions):
+        knobs.check(self)
+        if not self.partitions:
             raise ConfigError("partitions must be a non-empty tuple of indices >= 0")
 
 
+@knobs.declared
 @dataclasses.dataclass(frozen=True)
 class NetworkDegradation:
     """The SPS <-> serving link degrades for a window.
@@ -85,24 +78,18 @@ class NetworkDegradation:
     (connection reset) after its transfer — rolled from a seeded stream.
     """
 
-    at: float
-    duration: float
-    extra_latency: float = 0.0
-    error_rate: float = 0.0
+    at: float = knob(gt=0)
+    duration: float = knob(gt=0)
+    extra_latency: float = knob(0.0, ge=0)
+    error_rate: float = knob(0.0, ge=0, le=1)
 
     def __post_init__(self) -> None:
-        if self.at <= 0:
-            raise ConfigError(f"fault time must be positive, got {self.at}")
-        if self.duration <= 0:
-            raise ConfigError(f"degradation duration must be positive, got {self.duration}")
-        if self.extra_latency < 0:
-            raise ConfigError("extra_latency must be non-negative")
-        if not 0.0 <= self.error_rate <= 1.0:
-            raise ConfigError(f"error_rate must be in [0, 1], got {self.error_rate}")
+        knobs.check(self)
         if self.extra_latency == 0.0 and self.error_rate == 0.0:
             raise ConfigError("degradation must add latency or errors (or both)")
 
 
+@knobs.declared
 @dataclasses.dataclass(frozen=True)
 class StragglerReplica:
     """One serving worker slows down for a window (a noisy neighbour).
@@ -113,22 +100,15 @@ class StragglerReplica:
     fail.
     """
 
-    at: float
-    duration: float
-    slowdown: float = 4.0
-    worker: int = 0
+    at: float = knob(gt=0)
+    duration: float = knob(gt=0)
+    slowdown: float = knob(4.0, ge=1)
+    worker: int = knob(0, ge=0)
 
-    def __post_init__(self) -> None:
-        if self.at <= 0:
-            raise ConfigError(f"fault time must be positive, got {self.at}")
-        if self.duration <= 0:
-            raise ConfigError(f"straggler duration must be positive, got {self.duration}")
-        if self.slowdown < 1.0:
-            raise ConfigError(f"slowdown must be >= 1, got {self.slowdown}")
-        if self.worker < 0:
-            raise ConfigError(f"worker index must be >= 0, got {self.worker}")
+    __post_init__ = knobs.check
 
 
+@knobs.declared
 @dataclasses.dataclass(frozen=True)
 class FaultPlan:
     """Every fault injected into one run, scheduled in simulated time."""
@@ -138,13 +118,7 @@ class FaultPlan:
     network_degradations: tuple[NetworkDegradation, ...] = ()
     stragglers: tuple[StragglerReplica, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "server_crashes", tuple(self.server_crashes))
-        object.__setattr__(self, "partition_outages", tuple(self.partition_outages))
-        object.__setattr__(
-            self, "network_degradations", tuple(self.network_degradations)
-        )
-        object.__setattr__(self, "stragglers", tuple(self.stragglers))
+    __post_init__ = knobs.check
 
     @property
     def empty(self) -> bool:
@@ -185,6 +159,7 @@ class FaultPlan:
         return sorted(spans)
 
 
+@knobs.declared
 @dataclasses.dataclass(frozen=True)
 class ResiliencePolicy:
     """Client-side resilience wrapped around external scoring calls.
@@ -196,51 +171,33 @@ class ResiliencePolicy:
     """
 
     #: Client-side deadline per attempt (seconds); None never times out.
-    timeout: float | None = None
+    timeout: float | None = knob(None, gt=0)
     #: Retries after the first failed attempt (0 = fail straight to the
     #: degradation mode).
-    retries: int = 0
+    retries: int = knob(0, ge=0)
     #: First backoff delay; doubles (``backoff_factor``) per retry up to
     #: ``backoff_max``.
-    backoff_base: float = 0.02
-    backoff_factor: float = 2.0
-    backoff_max: float = 1.0
+    backoff_base: float = knob(0.02, gt=0)
+    backoff_factor: float = knob(2.0, ge=1)
+    backoff_max: float = knob(1.0, gt=0)
     #: Relative jitter on each backoff delay, drawn from the seeded
     #: "resilience.jitter" stream; 0 disables the draw entirely.
-    jitter: float = 0.1
+    jitter: float = knob(0.1, ge=0, lt=1)
     #: Consecutive failures that open the circuit breaker; None disables
     #: the breaker.
-    breaker_threshold: int | None = None
+    breaker_threshold: int | None = knob(None, ge=1)
     #: Seconds an open breaker waits before letting one half-open probe
     #: through.
-    breaker_reset: float = 0.5
+    breaker_reset: float = knob(0.5, gt=0)
     #: What to do when retries are exhausted (or the breaker is open):
     #: "shed" drops the batch, "fallback" scores on an embedded library,
     #: "raise" propagates (kills the scoring task — for experiments).
-    on_exhausted: str = "shed"
+    on_exhausted: str = knob("shed", choices=DEGRADATION_MODES)
     #: Embedded serving tool used by the "fallback" mode.
     fallback: str | None = None
 
     def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
-            raise ConfigError(f"timeout must be positive, got {self.timeout}")
-        if self.retries < 0:
-            raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_base <= 0 or self.backoff_max <= 0:
-            raise ConfigError("backoff_base and backoff_max must be positive")
-        if self.backoff_factor < 1.0:
-            raise ConfigError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.breaker_threshold is not None and self.breaker_threshold < 1:
-            raise ConfigError("breaker_threshold must be >= 1")
-        if self.breaker_reset <= 0:
-            raise ConfigError("breaker_reset must be positive")
-        if self.on_exhausted not in DEGRADATION_MODES:
-            raise ConfigError(
-                f"on_exhausted must be one of {DEGRADATION_MODES}, "
-                f"got {self.on_exhausted!r}"
-            )
+        knobs.check(self)
         if self.on_exhausted == "fallback" and self.fallback is None:
             raise ConfigError("on_exhausted='fallback' needs a fallback tool name")
         if self.fallback is not None and self.on_exhausted != "fallback":

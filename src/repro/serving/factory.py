@@ -5,6 +5,8 @@ from __future__ import annotations
 import typing
 
 from repro import calibration as cal
+from repro import knobs
+from repro.config import EXTERNAL_TOOLS, PROTOCOL_TOOLS, ExperimentConfig
 from repro.errors import ConfigError
 from repro.nn.zoo import model_info
 from repro.serving.base import ServingTool
@@ -53,7 +55,7 @@ def create_serving_tool(
             f"unknown serving tool {name!r}; have {sorted(_TOOL_CLASSES)}"
         ) from None
     profile = cal.SERVING_PROFILES[name]
-    is_external = name in ("tf_serving", "torchserve", "ray_serve")
+    is_external = name in EXTERNAL_TOOLS
     if server_workers is not None and not is_external:
         raise ConfigError("server_workers only applies to external serving tools")
     if link is not None and not is_external:
@@ -67,9 +69,8 @@ def create_serving_tool(
         rng=rng,
     )
     if protocol is not None:
-        if protocol not in ("grpc", "rest"):
-            raise ConfigError(f"unknown protocol {protocol!r}; use 'grpc' or 'rest'")
-        if name not in ("tf_serving", "torchserve"):
+        knobs.of(ExperimentConfig)["protocol"].check(protocol)
+        if name not in PROTOCOL_TOOLS:
             raise ConfigError(
                 f"protocol selection applies to gRPC servers, not {name!r}"
             )

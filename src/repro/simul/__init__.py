@@ -20,7 +20,7 @@ from repro.simul.events import AllOf, AnyOf, Event, Timeout
 from repro.simul.process import Interrupt, Process
 from repro.simul.resources import Resource, Store
 from repro.simul.scheduler import HeapScheduler
-from repro.simul.monitor import Counter, TimeSeries
+from repro.simul.monitor import TimeSeries
 from repro.simul.rng import RandomStreams
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "Resource",
     "Store",
     "HeapScheduler",
-    "Counter",
     "TimeSeries",
     "RandomStreams",
 ]

@@ -9,51 +9,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simul.core import Environment
 
 
-class Counter:
-    """A monotonically increasing event counter with rate queries.
-
-    Storage is one ``(time, cumulative_total)`` pair per distinct
-    timestamp — not one entry per counted event — so a bulk
-    ``increment(n)`` costs O(1) memory and window queries stay O(log n)
-    regardless of how many events each tick counts.
-    """
-
-    def __init__(self, env: "Environment", name: str = "") -> None:
-        self.env = env
-        self.name = name
-        self.total = 0
-        self._times: list[float] = []
-        self._cumulative: list[int] = []
-
-    def increment(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("Counter only counts upward")
-        if amount == 0:
-            return
-        self.total += amount
-        now = self.env.now
-        if self._times and self._times[-1] == now:
-            self._cumulative[-1] = self.total
-        else:
-            self._times.append(now)
-            self._cumulative.append(self.total)
-
-    def _count_before(self, time: float) -> int:
-        """Cumulative count of increments with ``t < time``."""
-        index = bisect.bisect_left(self._times, time)
-        return self._cumulative[index - 1] if index else 0
-
-    def count_between(self, start: float, end: float) -> int:
-        """Number of increments with ``start <= t < end``."""
-        return self._count_before(end) - self._count_before(start)
-
-    def rate_between(self, start: float, end: float) -> float:
-        """Average increments per time unit over ``[start, end)``."""
-        if end <= start:
-            raise ValueError(f"empty window [{start}, {end})")
-        return self.count_between(start, end) / (end - start)
-
-
 class TimeSeries:
     """Append-only ``(time, value)`` samples, e.g. per-batch latencies."""
 

@@ -50,22 +50,15 @@ class FlinkProcessor(DataProcessor):
         # Flink's Async I/O operator (§4.3 disabled it for fairness; we
         # implement it as an ablation): each scoring task may keep up to
         # ``async_io`` external requests in flight instead of blocking.
-        if async_io < 0:
-            raise ValueError(f"async_io must be >= 0, got {async_io}")
-        if async_io and self.tool.kind != "external":
-            raise ValueError("async I/O only applies to external serving")
+        # ExperimentConfig has already checked both knobs' domains and
+        # that they do not combine.
         self.async_io = async_io
         # §7.1 "Micro-batching Support for External Servers": a count
         # window in front of the scoring operator groups up to
         # ``scoring_window`` events into one inference call, flushing
         # early when the stream idles (so low rates keep low latency).
-        if scoring_window < 0:
-            raise ValueError(f"scoring_window must be >= 0, got {scoring_window}")
-        if scoring_window == 1:
-            scoring_window = 0  # a window of one is the default path
-        self.scoring_window = scoring_window
-        if self.scoring_window and self.async_io:
-            raise ValueError("scoring_window and async_io do not combine")
+        # A window of one is the default path.
+        self.scoring_window = 0 if scoring_window == 1 else scoring_window
 
     def _spawn_tasks(self) -> None:
         if self.operator_parallelism is None:

@@ -1,11 +1,15 @@
-"""Unit tests for reporting helpers and parameter sweeps."""
+"""Unit tests for reporting helpers and parameter sweeps.
+
+Sweeps run through ``run_matrix``, the one front door for grids.
+"""
 
 import pytest
 
 from repro.config import ExperimentConfig
 from repro.core.report import format_ms, format_rate, format_table, ratio_note
-from repro.core.sweep import sweep, validate_override_fields
+from repro.core.sweep import validate_override_fields
 from repro.errors import ConfigError
+from repro.matrix import run_matrix
 
 
 def test_format_table_alignment():
@@ -33,12 +37,12 @@ def test_ratio_note():
 def test_sweep_runs_grid():
     base = ExperimentConfig(sps="flink", serving="onnx", model="ffnn", ir=None, duration=1.0)
     seen = []
-    points = sweep(
+    points = run_matrix(
         base,
-        grid={"mp": [1, 2]},
+        {"mp": [1, 2]},
         seeds=(0,),
         hook=lambda overrides, results: seen.append(overrides["mp"]),
-    )
+    ).points
     assert seen == [1, 2]
     assert len(points) == 2
     assert points[1].throughput.mean > points[0].throughput.mean
@@ -46,18 +50,12 @@ def test_sweep_runs_grid():
     assert points[0].mean_latency.mean > 0
 
 
-def test_sweep_empty_grid_rejected():
-    base = ExperimentConfig()
-    with pytest.raises(ValueError):
-        sweep(base, grid={})
-
-
 def test_sweep_unknown_field_rejected_up_front():
     """A typo'd grid key fails immediately with a helpful message, not
     deep inside dataclasses.replace on the first grid point."""
     base = ExperimentConfig()
     with pytest.raises(ConfigError) as excinfo:
-        sweep(base, grid={"batch_size": [1, 2]})
+        run_matrix(base, {"batch_size": [1, 2]})
     message = str(excinfo.value)
     assert "unknown sweep field(s) 'batch_size'" in message
     # The message names the valid fields so the fix is obvious.
@@ -77,11 +75,14 @@ def test_sweep_parallel_and_cached_match_serial(tmp_path):
         sps="flink", serving="onnx", model="ffnn", ir=50.0, duration=0.5
     )
     grid = {"mp": [1, 2]}
-    serial = sweep(base, grid, seeds=(0,))
-    parallel = sweep(base, grid, seeds=(0,), jobs=2)
+    def sweep(**options):
+        return run_matrix(base, grid, seeds=(0,), **options).points
+
+    serial = sweep()
+    parallel = sweep(jobs=2)
     with ResultStore(tmp_path / "store.sqlite", git_rev=None) as store:
-        cached = sweep(base, grid, seeds=(0,), store=store)
-        replayed = sweep(base, grid, seeds=(0,), store=store)
+        cached = sweep(store=store)
+        replayed = sweep(store=store)
         assert store.counts()["runs"] == 2  # the replay recorded nothing
     for other in (parallel, cached, replayed):
         assert [p.overrides for p in other] == [p.overrides for p in serial]

@@ -2,95 +2,7 @@
 
 import pytest
 
-from repro.simul import Counter, Environment, RandomStreams, TimeSeries
-
-
-def _env_at(times, fn):
-    """Run ``fn(env)`` after advancing the clock to each time in order."""
-    env = Environment()
-
-    def proc():
-        last = 0.0
-        for t in times:
-            yield env.timeout(t - last)
-            fn(env)
-            last = t
-
-    env.process(proc())
-    env.run()
-    return env
-
-
-def test_counter_rates():
-    env = Environment()
-    counter = Counter(env, "requests")
-
-    def proc():
-        for __ in range(10):
-            counter.increment()
-            yield env.timeout(1)
-
-    env.process(proc())
-    env.run()
-    assert counter.total == 10
-    assert counter.count_between(0, 5) == 5
-    assert counter.rate_between(0, 10) == pytest.approx(1.0)
-
-
-def test_counter_rejects_negative():
-    env = Environment()
-    counter = Counter(env)
-    with pytest.raises(ValueError):
-        counter.increment(-1)
-
-
-def test_counter_empty_window_rejected():
-    env = Environment()
-    counter = Counter(env)
-    with pytest.raises(ValueError):
-        counter.rate_between(5, 5)
-
-
-def test_counter_bulk_increment_is_compact():
-    """increment(n) stores one (time, cumulative) pair, not n entries."""
-    env = Environment()
-    counter = Counter(env)
-    counter.increment(1_000_000)
-    counter.increment(500_000)  # same timestamp: merged in place
-    assert counter.total == 1_500_000
-    assert len(counter._times) == 1
-    assert counter.count_between(0.0, 1.0) == 1_500_000
-
-
-def test_counter_zero_increment_stores_nothing():
-    env = Environment()
-    counter = Counter(env)
-    counter.increment(0)
-    assert counter.total == 0
-    assert counter._times == []
-    assert counter.count_between(0.0, 1.0) == 0
-
-
-def test_counter_window_boundaries():
-    """count_between is inclusive of start, exclusive of end."""
-    env = Environment()
-    counter = Counter(env)
-
-    def proc():
-        for amount in (2, 3, 5):
-            counter.increment(amount)
-            yield env.timeout(1)
-
-    env.process(proc())
-    env.run()
-    # Increments at t=0 (2), t=1 (3), t=2 (5).
-    assert counter.count_between(0.0, 1.0) == 2
-    assert counter.count_between(1.0, 2.0) == 3
-    assert counter.count_between(0.0, 2.0) == 5
-    assert counter.count_between(2.0, 10.0) == 5
-    assert counter.count_between(0.0, 10.0) == 10
-    assert counter.count_between(5.0, 10.0) == 0
-    assert counter.rate_between(0.0, 2.0) == pytest.approx(2.5)
+from repro.simul import Environment, RandomStreams, TimeSeries
 
 
 def test_timeseries_window():
