@@ -4,9 +4,10 @@ The paper's discussion argues external serving wins in production
 because model management — versioning, rollouts, multi-model hosting —
 is native there, while embedded serving couples the model's lifecycle to
 the streaming job's. This example measures exactly that: a steady
-scoring stream is hit by a v1 -> v2 model rollout, once against an
-external multi-model server (background warm-load, atomic switch) and
-once against an embedded library (engine quiesced while weights reload).
+scoring stream is hit by a v1 -> v2 model rollout through the one
+rollout method, ``swap_model``: once against an external server
+(background warm-load, atomic switch) and once against an embedded
+library (engine quiesced while weights reload).
 
 Run:  python examples/model_rollout.py
 """
@@ -16,7 +17,6 @@ from repro.core.report import format_table
 from repro.nn.zoo import model_info
 from repro.serving import create_serving_tool
 from repro.serving.costs import ServingCostModel
-from repro.serving.external.multi_model import MultiModelServer
 from repro.simul import Environment
 
 REQUEST_INTERVAL = 0.02  # 50 requests/s
@@ -28,33 +28,10 @@ def costs(tool: str) -> ServingCostModel:
     return ServingCostModel(cal.SERVING_PROFILES[tool], model_info("ffnn"))
 
 
-def rollout_external() -> list[tuple[float, float]]:
-    """(time, latency) of every request around an external rollout."""
+def rollout(tool_name: str) -> list[tuple[float, float]]:
+    """(time, latency) of every request around a v1 -> v2 swap."""
     env = Environment()
-    server = MultiModelServer(env)
-    samples = []
-
-    def client():
-        while env.now < HORIZON:
-            result, __ = yield from server.score("m", 1)
-            samples.append((env.now, result.service_time))
-            yield env.timeout(REQUEST_INTERVAL)
-
-    def driver():
-        yield from server.deploy("m", "v1", costs("tf_serving"))
-        env.process(client())
-        yield env.timeout(ROLLOUT_AT)
-        yield from server.deploy("m", "v2", costs("tf_serving"))
-
-    env.process(driver())
-    env.run()
-    return samples
-
-
-def rollout_embedded() -> list[tuple[float, float]]:
-    """(time, latency) of every request around an embedded model swap."""
-    env = Environment()
-    tool = create_serving_tool("onnx", env, "ffnn")
+    tool = create_serving_tool(tool_name, env, "ffnn")
     samples = []
 
     def client():
@@ -67,7 +44,7 @@ def rollout_embedded() -> list[tuple[float, float]]:
         yield from tool.load()
         env.process(client())
         yield env.timeout(ROLLOUT_AT)
-        yield from tool.swap_model(costs("onnx"))
+        yield from tool.swap_model(costs(tool_name))
 
     env.process(driver())
     env.run()
@@ -80,13 +57,13 @@ def summarize(samples: list[tuple[float, float]]) -> tuple[float, float]:
 
 
 def main() -> None:
-    external_mean, external_worst = summarize(rollout_external())
-    embedded_mean, embedded_worst = summarize(rollout_embedded())
+    external_mean, external_worst = summarize(rollout("tf_serving"))
+    embedded_mean, embedded_worst = summarize(rollout("onnx"))
     print(
         format_table(
             ["deployment", "mean latency (ms)", "worst request during rollout (ms)"],
             [
-                ("external multi-model server", f"{external_mean * 1e3:.2f}",
+                ("external server (warm-load)", f"{external_mean * 1e3:.2f}",
                  f"{external_worst * 1e3:.2f}"),
                 ("embedded library (swap in place)", f"{embedded_mean * 1e3:.2f}",
                  f"{embedded_worst * 1e3:.2f}"),

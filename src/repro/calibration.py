@@ -130,6 +130,9 @@ class ServingProfile:
 
 # -- Embedded interoperability libraries (fit: Table 4, Figs. 5/6/7) -------
 
+# ONNX Runtime: the cross-framework engine the paper picks for
+# interoperability, and the fastest embedded option (Table 4) thanks to a
+# cheap FFI boundary and a well-optimized CPU kernel library.
 ONNX_PROFILE = ServingProfile(
     name="onnx",
     call_overhead=0.020 * MS,
@@ -141,6 +144,9 @@ ONNX_PROFILE = ServingProfile(
     gpu_speedup=1.28,  # Fig. 9: -16.4% end-to-end latency
 )
 
+# TensorFlow SavedModel: runs SavedModel artifacts in-process through the
+# TensorFlow Java bindings; close to ONNX Runtime on throughput (Table 4)
+# but with more variance at high parallelism.
 SAVEDMODEL_PROFILE = ServingProfile(
     name="savedmodel",
     call_overhead=0.010 * MS,
@@ -152,6 +158,10 @@ SAVEDMODEL_PROFILE = ServingProfile(
     gpu_speedup=1.40,
 )
 
+# DeepLearning4j: the JVM-native engine importing Keras H5 models. Its
+# tensor bridge (ND4J) marshals each value at a higher cost than ONNX
+# Runtime, and its workspace locking stops useful scaling past 8
+# concurrent scorers: an 8-slot engine cap, Fig. 6's flat curve.
 DL4J_PROFILE = ServingProfile(
     name="dl4j",
     call_overhead=0.300 * MS,
@@ -165,6 +175,9 @@ DL4J_PROFILE = ServingProfile(
 
 # -- External serving frameworks (fit: Table 4, Figs. 6/7/9) ----------------
 
+# TensorFlow Serving, over gRPC with binary tensors: the fastest external
+# option for small models (Table 4), near embedded latency (Fig. 5).
+# Large models execute in one session, so extra workers barely help.
 TF_SERVING_PROFILE = ServingProfile(
     name="tf_serving",
     call_overhead=0.100 * MS,
@@ -177,6 +190,10 @@ TF_SERVING_PROFILE = ServingProfile(
     gpu_speedup=1.46,  # Fig. 9: -24.1% end-to-end latency
 )
 
+# TorchServe, over gRPC: every request passes through Python handler code,
+# the highest per-request overhead of the external tools (Table 4), but
+# its process-per-worker design keeps scaling for large models where
+# TF-Serving flattens (Fig. 7: it overtakes TF-Serving past mp=8).
 TORCHSERVE_PROFILE = ServingProfile(
     name="torchserve",
     call_overhead=2.40 * MS,  # Python handler per request

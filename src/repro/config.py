@@ -36,21 +36,11 @@ class WorkloadKind(enum.Enum):
 #: Registered stream-processor names (the `data processor` adapters).
 SPS_NAMES = ("flink", "kafka_streams", "spark_ss", "ray")
 
-#: Registered serving-tool names. ``(e)`` embedded, ``(x)`` external.
+#: Serving-tool names: each is a ``calibration.SERVING_PROFILES`` entry
+#: served by an embedded library or by an external service.
 EMBEDDED_TOOLS = ("onnx", "dl4j", "savedmodel")
 EXTERNAL_TOOLS = ("tf_serving", "torchserve", "ray_serve")
 SERVING_TOOLS = EMBEDDED_TOOLS + EXTERNAL_TOOLS
-
-#: Model names available in the zoo.
-MODEL_NAMES = (
-    "autoencoder",
-    "efficientnet_b0",
-    "ffnn",
-    "gru",
-    "mobilenet",
-    "resnet50",
-)
-
 
 #: Wire APIs of the gRPC servers, and the tools that offer a choice.
 PROTOCOLS = ("grpc", "rest")

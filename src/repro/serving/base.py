@@ -3,6 +3,7 @@
 Every serving tool — embedded or external — implements
 :class:`ServingTool`: a ``load()`` coroutine run once before the streaming
 job starts and a ``score(bsz)`` coroutine invoked per CrayfishDataBatch.
+``swap_model(new_costs)`` rolls out a new model version mid-stream.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ class ServingTool:
         self.metrics = NO_METRICS
         self._loaded = False
         self.requests_served = 0
+        self.model_swaps = 0
 
     def install_metrics(self, registry: typing.Any) -> None:
         """Attach a metrics registry and register this tool's instruments.
@@ -89,6 +91,12 @@ class ServingTool:
         :class:`~repro.tracing.spans.TraceContext`) serving-internal
         spans should attach to; None scores untraced.
         """
+        raise NotImplementedError
+
+    def swap_model(self, new_costs: ServingCostModel) -> typing.Generator:
+        """Coroutine: roll out a new model version (§7.2) while scoring
+        continues. Embedded libraries quiesce their engine for the load;
+        external services warm-load beside the serving workers."""
         raise NotImplementedError
 
     def _require_loaded(self) -> None:

@@ -1,8 +1,9 @@
-"""Embedded interoperability libraries (§3.4.2)."""
+"""Embedded interoperability libraries (§3.4.2).
+
+ONNX Runtime, DL4J and SavedModel are one :class:`EmbeddedLibrary` each,
+told apart by their calibration profiles (``repro.calibration``).
+"""
 
 from repro.serving.embedded.library import EmbeddedLibrary
-from repro.serving.embedded.onnx_runtime import OnnxRuntimeTool
-from repro.serving.embedded.dl4j import Dl4jTool
-from repro.serving.embedded.savedmodel import SavedModelTool
 
-__all__ = ["EmbeddedLibrary", "OnnxRuntimeTool", "Dl4jTool", "SavedModelTool"]
+__all__ = ["EmbeddedLibrary"]

@@ -27,7 +27,6 @@ class EmbeddedLibrary(ServingTool):
         super().__init__(env, costs)
         # Slots bound by the engine's useful internal parallelism.
         self._engine = Resource(env, capacity=costs.engine_concurrency)
-        self.model_swaps = 0
 
     def _register_metrics(self, registry: typing.Any) -> None:
         registry.gauge(
@@ -84,7 +83,7 @@ class EmbeddedLibrary(ServingTool):
         the engine must quiesce (every slot drained) and the scoring
         operators stall for the whole load — the §7.2 contrast with an
         external server's zero-downtime rollout
-        (:class:`~repro.serving.external.multi_model.MultiModelServer`).
+        (:meth:`~repro.serving.external.server.ExternalServingService.swap_model`).
         """
         self._require_loaded()
         slots = [self._engine.request() for __ in range(self._engine.capacity)]

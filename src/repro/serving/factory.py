@@ -6,23 +6,19 @@ import typing
 
 from repro import calibration as cal
 from repro import knobs
-from repro.config import EXTERNAL_TOOLS, PROTOCOL_TOOLS, ExperimentConfig
+from repro.config import (
+    EXTERNAL_TOOLS,
+    PROTOCOL_TOOLS,
+    SERVING_TOOLS,
+    ExperimentConfig,
+)
 from repro.errors import ConfigError
 from repro.nn.zoo import model_info
 from repro.serving.base import ServingTool
 from repro.serving.costs import ServingCostModel
-from repro.serving.embedded import Dl4jTool, OnnxRuntimeTool, SavedModelTool
-from repro.serving.external import RayServeTool, TfServingTool, TorchServeTool
+from repro.serving.embedded import EmbeddedLibrary
+from repro.serving.external import ExternalServingService, RayServeTool
 from repro.simul import Environment, RandomStreams
-
-_TOOL_CLASSES: dict[str, type[ServingTool]] = {
-    "onnx": OnnxRuntimeTool,
-    "dl4j": Dl4jTool,
-    "savedmodel": SavedModelTool,
-    "tf_serving": TfServingTool,
-    "torchserve": TorchServeTool,
-    "ray_serve": RayServeTool,
-}
 
 
 def create_serving_tool(
@@ -38,6 +34,11 @@ def create_serving_tool(
 ) -> ServingTool:
     """Build the named serving tool bound to a model and parallelism.
 
+    A tool is its calibration profile (``cal.SERVING_PROFILES[name]``)
+    on one of two serving kinds: an :class:`EmbeddedLibrary` for the
+    names in ``EMBEDDED_TOOLS``, an :class:`ExternalServingService` for
+    those in ``EXTERNAL_TOOLS``.
+
     ``server_workers`` decouples the external server's worker pool from
     the SPS-side parallelism ``mp`` (the paper's default keeps them equal;
     §9 flags non-uniform allocation as open work). ``protocol`` overrides
@@ -48,12 +49,10 @@ def create_serving_tool(
     at a specific network hop — scale-out placement hands each fleet
     replica the link between the load balancer's node and its own.
     """
-    try:
-        tool_cls = _TOOL_CLASSES[name]
-    except KeyError:
+    if name not in SERVING_TOOLS:
         raise ConfigError(
-            f"unknown serving tool {name!r}; have {sorted(_TOOL_CLASSES)}"
-        ) from None
+            f"unknown serving tool {name!r}; have {sorted(SERVING_TOOLS)}"
+        )
     profile = cal.SERVING_PROFILES[name]
     is_external = name in EXTERNAL_TOOLS
     if server_workers is not None and not is_external:
@@ -74,10 +73,12 @@ def create_serving_tool(
             raise ConfigError(
                 f"protocol selection applies to gRPC servers, not {name!r}"
             )
-    if protocol is None and link is None:
-        return tool_cls(env, costs)
-    channel = channel_for(name, protocol=protocol, link=link)
-    return tool_cls(env, costs, channel=channel)
+    if not is_external:
+        return EmbeddedLibrary(env, costs)
+    # Ray Serve alone adds a mechanism (its single HTTP proxy); the other
+    # tools differ only by their calibration profile.
+    tool_cls = RayServeTool if name == "ray_serve" else ExternalServingService
+    return tool_cls(env, costs, channel_for(name, protocol=protocol, link=link))
 
 
 def channel_for(

@@ -46,18 +46,14 @@ def create_data_processor(
         raise ConfigError(
             f"unknown stream processor {name!r}; have {sorted(ENGINES)}"
         ) from None
+    # Flink-only options are forwarded only when set, so another engine's
+    # constructor rejects them (``ExperimentConfig`` states the rule).
     kwargs: dict[str, typing.Any] = {}
     if operator_parallelism is not None:
-        if engine_cls is not FlinkProcessor:
-            raise ConfigError("operator_parallelism is Flink-only")
         kwargs["operator_parallelism"] = operator_parallelism
     if async_io:
-        if engine_cls is not FlinkProcessor:
-            raise ConfigError("async_io is Flink-only")
         kwargs["async_io"] = async_io
     if scoring_window:
-        if engine_cls is not FlinkProcessor:
-            raise ConfigError("scoring_window is Flink-only")
         kwargs["scoring_window"] = scoring_window
     return engine_cls(
         env,

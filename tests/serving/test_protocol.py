@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.config import ExperimentConfig
+from repro.config import (
+    EMBEDDED_TOOLS,
+    PROTOCOL_TOOLS,
+    SERVING_TOOLS,
+    ExperimentConfig,
+)
 from repro.errors import ConfigError
-from repro.netsim import GrpcChannel, HttpChannel
+from repro.netsim import GrpcChannel, HttpChannel, Link
 from repro.serving import create_serving_tool
 from repro.simul import Environment
 
@@ -20,14 +25,41 @@ def test_config_validation():
         ExperimentConfig(serving="ray_serve", protocol="grpc")
 
 
-def test_factory_builds_requested_channel():
+def _factory_cases():
+    for name in SERVING_TOOLS:
+        protocols = (None, "rest") if name in PROTOCOL_TOOLS else (None,)
+        links = (None,) if name in EMBEDDED_TOOLS else (None, "link")
+        for protocol in protocols:
+            for link in links:
+                yield name, protocol, link
+
+
+#: Engine caps at mp=16 for ResNet50, a large model: DL4J's 8 slots and
+#: TF-Serving's single session.
+_CAPS = {"dl4j": 8, "tf_serving": 1}
+
+
+@pytest.mark.parametrize("name, protocol, link", list(_factory_cases()))
+def test_factory_builds_requested_channel(name, protocol, link):
     env = Environment()
-    grpc = create_serving_tool("tf_serving", env, "ffnn", protocol="grpc")
-    rest = create_serving_tool("tf_serving", env, "ffnn", protocol="rest")
-    default = create_serving_tool("tf_serving", env, "ffnn")
-    assert isinstance(grpc.channel, GrpcChannel)
-    assert isinstance(rest.channel, HttpChannel)
-    assert isinstance(default.channel, GrpcChannel)  # the paper's choice
+    link = Link() if link else None
+    tool = create_serving_tool(
+        name, env, "resnet50", mp=16, protocol=protocol, link=link
+    )
+    assert tool.costs.profile.name == name
+    assert tool._engine.capacity == _CAPS.get(name, 16)
+    if name in EMBEDDED_TOOLS:
+        assert tool.kind == "embedded"
+        assert not hasattr(tool, "channel")
+        return
+    assert tool.kind == "external"
+    # gRPC is the paper's choice; Ray Serve is HTTP-only.
+    http = name == "ray_serve" or protocol == "rest"
+    assert type(tool.channel) is (HttpChannel if http else GrpcChannel)
+    if link is None:
+        assert type(tool.channel.link) is Link
+    else:
+        assert tool.channel.link is link
 
 
 def test_factory_rejects_protocol_for_wrong_tools():

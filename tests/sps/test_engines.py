@@ -32,20 +32,6 @@ def test_registry_rejects_unknown_engine():
         create_data_processor("storm", env, tool, DirectInput(env), DirectOutput(env))
 
 
-def test_operator_parallelism_rejected_off_flink():
-    env = Environment()
-    tool = create_serving_tool("onnx", env, "ffnn")
-    with pytest.raises(ConfigError):
-        create_data_processor(
-            "ray",
-            env,
-            tool,
-            DirectInput(env),
-            DirectOutput(env),
-            operator_parallelism=(1, 1, 1),
-        )
-
-
 def test_flink_chained_vs_unchained_tasks():
     __, chained = build()
     assert isinstance(chained, FlinkProcessor)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import repro.config
 from repro.config import EMBEDDED_TOOLS, ExperimentConfig
+from repro.nn.zoo.registry import available_models
 from repro.store.record import (
     cost_proxy,
     record_from_row,
@@ -20,7 +21,7 @@ configs = st.builds(
     ExperimentConfig,
     sps=st.sampled_from(repro.config.SPS_NAMES),
     serving=st.sampled_from(repro.config.SERVING_TOOLS),
-    model=st.sampled_from(repro.config.MODEL_NAMES),
+    model=st.sampled_from(available_models()),
     ir=st.floats(min_value=1.0, max_value=500.0, allow_nan=False),
     duration=st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
     mp=st.integers(min_value=1, max_value=8),

@@ -21,7 +21,6 @@ PUBLIC_MODULES = [
     "repro.serving.external",
     "repro.serving.external.autoscaler",
     "repro.serving.external.batching",
-    "repro.serving.external.multi_model",
     "repro.sps",
     "repro.sps.gateways",
     "repro.faults",
